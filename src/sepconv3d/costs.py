@@ -18,7 +18,10 @@ rules the runtime kernels use.  Conventions:
   (input element, kernel tap) pair whose target lands inside the
   output.  That is what a scatter implementation executes; a counting
   rule based on the upsampled output extents would bill the inserted
-  zeros as real work and overstate stride-2 layers by ~8x.
+  zeros as real work and overstate stride-2 layers by ~8x.  The
+  kernels' phase form executes k*n taps per axis: these scatter taps
+  plus the upper-edge taps that read zero padding (3n against the
+  billed 3n - 1 at k=3, s=2).
 * Bias costs one MAC per output element; the inference-time BN affine
   costs one more.  Each adds its parameter vectors (c_out for bias,
   2*c_out for BN).

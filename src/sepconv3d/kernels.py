@@ -15,7 +15,11 @@ channel mix are factored:
                window over d, then a 1x1x1 channel mix.
 
 There is also a transposed variant (``deconv3d_full``) that upsamples
-by the stride via zero insertion.
+by the stride.  At stride s > 1 it runs as s**3 phase convolutions (the
+sub-pixel view of a strided transposed conv), so the upsampling zeros
+are never multiplied: per axis it executes k*n taps, which is the billed
+``costs.scatter_taps`` plus the upper-edge taps that read zero padding
+(3n against 3n - 1 at k=3, s=2).
 
 All windows use zero "same" padding, so output extents are
 ceil(n / stride) along strided axes.  Kernel extents must be odd.
@@ -23,7 +27,8 @@ Partial sums always accumulate in float64; outputs are cast back to the
 input's storage dtype at the end.
 
 Engine rule: every window stage -- dense or per-slice -- runs as one
-einsum over a strided window view.  Taps are gathered in place, never
+einsum over a strided window view (a strided transposed conv: one
+einsum per output phase).  Taps are gathered in place, never
 packed into im2col-style buffers, so wall-time tracks the stage's
 multiply count and the benchmark compares layouts rather than copy
 machinery.  The dense stage works channels-last so the contraction
@@ -34,6 +39,7 @@ products.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from typing import Optional
@@ -359,17 +365,64 @@ def _conv_full_core(x: np.ndarray, w: np.ndarray, strides) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(out, -1, 0))
 
 
+def _deconv_phase_core(x: np.ndarray, wflip: np.ndarray, s: int) -> np.ndarray:
+    """Transposed dense conv at stride s, one einsum per output phase.
+
+    x: (ci, A, B, C) float64, unpadded; wflip: (co, ci, k, k, k), the
+    tap-reversed kernel.  Along each axis, output s*q + r receives the
+    reversed taps f, f+s, f+2s, ... with f = (p - r) mod s and
+    p = (k-1)//2; they read the consecutive inputs q + o, q + o + 1, ...
+    with o = (r + f - p) / s.  Each phase is therefore a dense window over
+    the input (padded once, channels-last) with a strided sub-kernel,
+    written in place into a strided view of one channels-last output.
+    Phases that no tap reaches (k < s) are zero.  Per axis this executes
+    k*n taps, against s*n*k for a dense window over the zero-inserted grid.
+    """
+    co, k = wflip.shape[0], wflip.shape[2]
+    p = (k - 1) // 2
+    first = [(p - r) % s for r in range(s)]
+    offset = [(r + f - p) // s for r, f in enumerate(first)]
+    live = [r for r in range(s) if first[r] < k]
+    lo = max(0, -min(offset[r] for r in live))
+    hi = max(0, max(offset[r] + len(range(first[r], k, s)) - 1 for r in live))
+    xt = np.ascontiguousarray(np.moveaxis(x, 0, -1))
+    if lo or hi:
+        xt = np.pad(xt, [(lo, hi)] * 3 + [(0, 0)], mode="constant")
+    wt = wflip.transpose(1, 2, 3, 4, 0)
+    n = x.shape[1:]
+    out = np.empty(tuple(m * s for m in n) + (co,))
+    for r in itertools.product(range(s), repeat=3):
+        dst = out[r[0]::s, r[1]::s, r[2]::s]
+        if any(first[ra] >= k for ra in r):
+            dst.fill(0.0)
+            continue
+        f = [first[ra] for ra in r]
+        sub = np.ascontiguousarray(wt[:, f[0]::s, f[1]::s, f[2]::s])
+        m = sub.shape[1:4]
+        src = tuple(
+            slice(lo + offset[ra], lo + offset[ra] + na + ma - 1)
+            for ra, na, ma in zip(r, n, m)
+        )
+        win = sliding_window_view(xt[src], m, axis=(0, 1, 2))
+        np.einsum("zyxiabc,iabco->zyxo", win, sub, out=dst, optimize=False)
+    return np.ascontiguousarray(np.moveaxis(out, -1, 0))
+
+
 def _pointwise_core(x: np.ndarray, pw: np.ndarray) -> np.ndarray:
     """1x1x1 mix along axis 0: x (n_in, ...) -> (n_out, ...)."""
     return np.tensordot(pw, x, axes=([1], [0]))
 
 
 def _affine_core(z: np.ndarray, bank: KernelBank) -> np.ndarray:
-    """Post-mix per-channel affine: scale * (z + bias) + shift."""
+    """Post-mix per-channel affine: scale * (z + bias) + shift.
+
+    Works in place: `z` must be a fresh core output that the caller owns.
+    """
     if bank.bias is not None:
-        z = z + bank.bias[:, None, None, None]
+        z += bank.bias[:, None, None, None]
     if bank.bn_scale is not None:
-        z = bank.bn_scale[:, None, None, None] * z + bank.bn_shift[:, None, None, None]
+        z *= bank.bn_scale[:, None, None, None]
+        z += bank.bn_shift[:, None, None, None]
     return z
 
 
@@ -453,19 +506,16 @@ def conv3d_fdwsc(x: Volume4, bank: KernelBank, stride: int = 1) -> Volume4:
 
 def deconv3d_full(x: Volume4, bank: KernelBank, stride: int = 1) -> Volume4:
     """Transposed dense 3D convolution; upsamples every (d, h, w) axis by
-    the stride via zero insertion, then runs the dense window with the
-    tap-reversed kernel.  Output extents are (d*s, h*s, w*s)."""
+    the stride.  Output extents are (d*s, h*s, w*s).
+
+    Runs one dense window with the tap-reversed kernel per output phase
+    (see _deconv_phase_core), so the inserted upsampling zeros are never
+    multiplied.  Stride 1 has a single phase: the dense window itself."""
     s = _check_stride(stride)
     _want(bank, "full")
     _want_channels(x, bank)
-    xa = _as_f64(x)
-    if s > 1:
-        c, d, h, w = xa.shape
-        buf = np.zeros((c, d * s, h * s, w * s))
-        buf[:, ::s, ::s, ::s] = xa
-        xa = buf
     wflip = bank.arrays["weights"][:, :, ::-1, ::-1, ::-1]
-    z = _conv_full_core(xa, wflip, (1, 1, 1))
+    z = _deconv_phase_core(_as_f64(x), wflip, s)
     return _finish(_affine_core(z, bank), x)
 
 

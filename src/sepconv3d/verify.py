@@ -22,6 +22,7 @@ cost model together.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -547,77 +548,146 @@ def _random_layer_case(rng) -> tuple:
     return variant, spec, Shape4(ci, d, h, w), bank, stride
 
 
-def run_catalog(name_filter: Optional[str] = None, seeds: int = 8) -> list:
-    """The `check` suite: composition cases, cost-oracle equality on
-    randomized layers, and gradient spot checks.  Returns OracleReports.
-    """
-    reports = []
-
-    for case in COMPOSITION_CASES:
-        worst = None
-        for seed in range(seeds):
-            r = composition_check(case, seed=seed)
-            take = (
-                worst is None
-                or (worst.passed and not r.passed)
-                or (worst.passed == r.passed and r.max_rel_err > worst.max_rel_err)
-            )
-            if take:
-                worst = r
-        reports.append(
-            OracleReport(f"composition/{case}", worst.max_abs_err, worst.max_rel_err,
-                         worst.tol, worst.passed, note=f"{seeds} seeds")
+def _worst_over_seeds(name: str, check, seeds: int) -> OracleReport:
+    """Run check(seed) for every seed; report the first failure, else the
+    largest error."""
+    worst = None
+    for seed in range(seeds):
+        r = check(seed)
+        take = (
+            worst is None
+            or (worst.passed and not r.passed)
+            or (worst.passed == r.passed and r.max_rel_err > worst.max_rel_err)
         )
+        if take:
+            worst = r
+    return OracleReport(name, worst.max_abs_err, worst.max_rel_err,
+                        worst.tol, worst.passed, note=f"{seeds} seeds")
 
+
+# (k, stride) of the transposed-conv value check, cycled by seed; the
+# first pair is the one whose taps both reach and skip the inserted zeros
+_DECONV_KS = ((3, 2), (3, 1), (1, 2), (1, 1))
+
+
+def _deconv_vs_loop(seed: int) -> OracleReport:
+    """deconv3d_full against the scatter-form loop nest on seeded data."""
+    rng = np.random.default_rng(seed + 0xDEC0)
+    k, stride = _DECONV_KS[seed % len(_DECONV_KS)]
+    ci, co = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    d, h, w = int(rng.integers(2, 4)), int(rng.integers(3, 5)), int(rng.integers(4, 6))
+    x = Volume4.random((ci, d, h, w), seed=seed, dtype=np.float64)
+    bank = KernelBank.random("full", k, ci, co, seed=seed, bias=True, bn=True)
+    ref, _ = loop_deconv(x, bank, stride)
+    got = _k.deconv3d_full(x, bank, stride)
+    return _report("deconv-vs-loop", got.array, ref, tol=1e-9,
+                   note=f"k={k} s={stride} ci={ci} co={co}")
+
+
+def _closed_form_matches(name: str, layers) -> OracleReport:
+    """Closed-form costs against loop counts; `layers` yields
+    (spec, in_shape, loop_macs).  Stops at the first mismatch."""
+    n_cases = 0
+    for spec, in_shape, mac in layers:
+        n_cases += 1
+        claimed = _costs.count_layer(spec, in_shape).total_macs
+        if mac != claimed:
+            return OracleReport(name, 1.0, 1.0, 0.0, False,
+                                note=f"{spec.id}: loop={mac} closed={claimed} "
+                                     f"shape={tuple(in_shape)}")
+    return OracleReport(name, 0.0, 0.0, 0.0, True, note=f"{n_cases} randomized layers")
+
+
+def _conv_layers(seeds: int):
+    """Randomized conv3d layers with their loop-nest MAC counts."""
     rng = np.random.default_rng(0xC057)
-    n_cases = max(3 * seeds, 12)
-    worst_note, all_equal = "", True
-    for _ in range(n_cases):
+    for _ in range(max(3 * seeds, 12)):
         variant, spec, in_shape, bank, stride = _random_layer_case(rng)
         x = Volume4.random(in_shape, seed=int(rng.integers(0, 2 ** 31)), dtype=np.float64)
         _, mac = counted_forward(x, bank, stride)
-        claimed = _costs.count_layer(spec, in_shape).total_macs
-        if mac != claimed:
-            all_equal = False
-            worst_note = f"{spec.id}: loop={mac} closed={claimed} shape={tuple(in_shape)}"
-            break
-    reports.append(
-        OracleReport("cost-oracle/closed-form-vs-loop", 0.0 if all_equal else 1.0,
-                     0.0 if all_equal else 1.0, 0.0, all_equal,
-                     note=worst_note or f"{n_cases} randomized layers")
-    )
+        yield spec, in_shape, mac
 
+
+def _deconv_layers(seeds: int):
+    """Randomized deconv3d layers with their scatter-loop MAC counts."""
+    rng = np.random.default_rng(0xDEC5)
+    for _ in range(max(seeds, 4)):
+        k = int(rng.choice([1, 3, 5]))
+        stride = int(rng.choice([1, 2, 3]))
+        ci, co = int(rng.integers(1, 3)), int(rng.integers(1, 3))
+        d, h, w = int(rng.integers(1, 4)), int(rng.integers(1, 5)), int(rng.integers(1, 6))
+        bias, bn = bool(rng.integers(0, 2)), bool(rng.integers(0, 2))
+        bank = KernelBank.random("full", k, ci, co, seed=int(rng.integers(0, 2 ** 31)),
+                                 bias=bias, bn=bn)
+        spec = LayerSpec(id=f"deconv-k{k}-s{stride}", kind="deconv3d", variant="full",
+                         k=k, stride=stride, out_channels=co, bias=bias, bn=bn)
+        in_shape = Shape4(ci, d, h, w)
+        x = Volume4.random(in_shape, seed=int(rng.integers(0, 2 ** 31)), dtype=np.float64)
+        _, mac = loop_deconv(x, bank, stride)
+        yield spec, in_shape, mac
+
+
+def _grad_inputs(grng, variant: str, reps: int) -> list:
+    """(x, bank, stride) of one variant's gradient checks."""
+    inputs = []
+    for _ in range(reps):
+        k = int(grng.choice([1, 3]))
+        stride = int(grng.choice([1, 2]))
+        ci = int(grng.integers(1, 3))
+        co = ci if variant == "dwsc" else int(grng.integers(1, 3))
+        d, h, w = (int(grng.integers(2, 4)) for _ in range(3))
+        bank = KernelBank.random(
+            variant, k, ci, co,
+            d_in=d if variant == "dwsc" else None,
+            seed=int(grng.integers(0, 2 ** 31)), bias=True, bn=True,
+        )
+        x = Volume4.random((ci, d, h, w), seed=int(grng.integers(0, 2 ** 31)),
+                           dtype=np.float64)
+        inputs.append((x, bank, stride))
+    return inputs
+
+
+def _grad_check(name: str, inputs: list) -> OracleReport:
+    """Analytic backward against central differences."""
+    worst_rel = 0.0
+    for x, bank, stride in inputs:
+        y = _k.forward(x, bank, stride)
+        gout = Volume4(np.ones(tuple(y.dims)), copy=False)
+        gin, grads = _k.backward(x, bank, gout, stride)
+        fd = finite_diff_grad(x, bank, stride, step=1e-5)
+        worst_rel = max(worst_rel, _grad_rel(fd["input"], gin.array))
+        for gname, g in grads.items():
+            worst_rel = max(worst_rel, _grad_rel(fd[gname], g))
+    return OracleReport(name, worst_rel, worst_rel, 1e-4,
+                        worst_rel <= 1e-4, note="vs central differences")
+
+
+def run_catalog(name_filter: Optional[str] = None, seeds: int = 8) -> list:
+    """The `check` suite: composition cases, cost-oracle equality on
+    randomized layers, and gradient spot checks.  Returns OracleReports.
+
+    `name_filter` keeps the cases whose name contains it; only those
+    run.  Every case draws its inputs from its own streams, so a filtered
+    run reports exactly the lines of the unfiltered one.
+    """
+    cases = [
+        (f"composition/{c}",
+         partial(_worst_over_seeds, check=partial(composition_check, c), seeds=seeds))
+        for c in COMPOSITION_CASES
+    ]
+    cases += [
+        ("composition/deconv-vs-loop",
+         partial(_worst_over_seeds, check=_deconv_vs_loop, seeds=seeds)),
+        ("cost-oracle/closed-form-vs-loop",
+         partial(_closed_form_matches, layers=_conv_layers(seeds))),
+        ("cost-oracle/deconv-scatter",
+         partial(_closed_form_matches, layers=_deconv_layers(seeds))),
+    ]
     grng = np.random.default_rng(0x6EAD)
     for variant in ("full", "fwsc", "dwsc", "fdwsc"):
-        worst_rel = 0.0
-        for _ in range(max(seeds // 4, 2)):
-            k = int(grng.choice([1, 3]))
-            stride = int(grng.choice([1, 2]))
-            ci = int(grng.integers(1, 3))
-            co = ci if variant == "dwsc" else int(grng.integers(1, 3))
-            d, h, w = (int(grng.integers(2, 4)) for _ in range(3))
-            bank = KernelBank.random(
-                variant, k, ci, co,
-                d_in=d if variant == "dwsc" else None,
-                seed=int(grng.integers(0, 2 ** 31)), bias=True, bn=True,
-            )
-            x = Volume4.random((ci, d, h, w), seed=int(grng.integers(0, 2 ** 31)),
-                               dtype=np.float64)
-            y = _k.forward(x, bank, stride)
-            gout = Volume4(np.ones(tuple(y.dims)), copy=False)
-            gin, grads = _k.backward(x, bank, gout, stride)
-            fd = finite_diff_grad(x, bank, stride, step=1e-5)
-            worst_rel = max(worst_rel, _grad_rel(fd["input"], gin.array))
-            for name, g in grads.items():
-                worst_rel = max(worst_rel, _grad_rel(fd[name], g))
-        reports.append(
-            OracleReport(f"grad/{variant}", worst_rel, worst_rel, 1e-4,
-                         worst_rel <= 1e-4, note="vs central differences")
-        )
-
-    if name_filter:
-        reports = [r for r in reports if name_filter in r.case]
-    return reports
+        inputs = _grad_inputs(grng, variant, max(seeds // 4, 2))
+        cases.append((f"grad/{variant}", partial(_grad_check, inputs=inputs)))
+    return [run(name) for name, run in cases if not name_filter or name_filter in name]
 
 
 def _grad_rel(fd: np.ndarray, an: np.ndarray) -> float:

@@ -181,7 +181,7 @@ def test_check_single_case(capsys):
 def test_check_composition_family(capsys):
     code, out, _ = _run(capsys, "check", "--filter", "composition", "--seeds", "2")
     assert code == 0
-    assert "5/5 checks passed" in out
+    assert "6/6 checks passed" in out
     assert "FAIL" not in out
 
 

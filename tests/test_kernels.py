@@ -264,6 +264,68 @@ def test_deconv_rejects_separable_banks():
         deconv3d_full(x, KernelBank.random("fwsc", 3, 2, 2, seed=1))
 
 
+def _zero_insertion_deconv(x, bank, s):
+    """Reference transposed conv: zero-insert onto the s-times grid, then
+    run the dense window with the tap-reversed kernel (channels-last)."""
+    xa = np.asarray(x.array, dtype=np.float64)
+    c, d, h, w = xa.shape
+    buf = np.zeros((c, d * s, h * s, w * s))
+    buf[:, ::s, ::s, ::s] = xa
+    wflip = bank.arrays["weights"][:, :, ::-1, ::-1, ::-1]
+    k = bank.k
+    xt = np.pad(np.ascontiguousarray(np.moveaxis(buf, 0, -1)),
+                [((k - 1) // 2, k // 2)] * 3 + [(0, 0)])
+    win = np.lib.stride_tricks.sliding_window_view(xt, (k, k, k), axis=(0, 1, 2))
+    wt = np.ascontiguousarray(wflip.transpose(1, 2, 3, 4, 0))
+    z = np.einsum("zyxiabc,iabco->zyxo", win, wt, optimize=False)
+    z = np.ascontiguousarray(np.moveaxis(z, -1, 0))
+    z = z + bank.bias[:, None, None, None]
+    z = bank.bn_scale[:, None, None, None] * z + bank.bn_shift[:, None, None, None]
+    return z.astype(x.dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dims", [(2, 3, 4, 5), (2, 4, 3, 6)])
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("stride", [1, 2, 3])
+def test_deconv_phases_equal_zero_insertion(stride, k, dims, dtype):
+    x = Volume4.random(dims, seed=24, dtype=dtype)
+    bank = KernelBank.random("full", k, dims[0], 3, seed=25, bias=True, bn=True)
+    assert np.array_equal(deconv3d_full(x, bank, stride).array,
+                          _zero_insertion_deconv(x, bank, stride))
+
+
+@pytest.mark.parametrize("stride", [2, 3])
+def test_deconv_single_output_channel_within_rounding(stride):
+    # with c_out = 1 einsum's inner loop runs over taps, so dropping the
+    # zero taps regroups the float64 sum; only rounding may differ
+    x = Volume4.random((3, 3, 4, 5), seed=26, dtype=np.float64)
+    bank = KernelBank.random("full", 5, 3, 1, seed=27, bias=True, bn=True)
+    np.testing.assert_allclose(deconv3d_full(x, bank, stride).array,
+                               _zero_insertion_deconv(x, bank, stride),
+                               rtol=1e-13, atol=1e-14)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("stride", [1, 2, 3])
+def test_deconv_executes_k_n_taps_per_axis(monkeypatch, stride, k):
+    executed = []
+    einsum = np.einsum
+
+    def spy(subscripts, *ops, **kw):
+        extent = {}
+        for labels, op in zip(subscripts.split("->")[0].split(","), ops):
+            extent.update(zip(labels, np.shape(op)))
+        executed.append(int(np.prod(list(extent.values()))))
+        return einsum(subscripts, *ops, **kw)
+
+    monkeypatch.setattr(np, "einsum", spy)
+    ci, co, n = 2, 3, (3, 4, 5)
+    x = Volume4.random((ci,) + n, seed=28, dtype=np.float64)
+    deconv3d_full(x, KernelBank.random("full", k, ci, co, seed=29), stride)
+    assert sum(executed) == ci * co * np.prod([k * m for m in n])
+
+
 # ----------------------------------------------------------------------
 # analytic backward
 # ----------------------------------------------------------------------

@@ -214,7 +214,8 @@ def test_run_catalog_covers_every_family(catalog):
     names = [r.case for r in catalog]
     assert names == (
         [f"composition/{c}" for c in COMPOSITION_CASES]
-        + ["cost-oracle/closed-form-vs-loop"]
+        + ["composition/deconv-vs-loop"]
+        + ["cost-oracle/closed-form-vs-loop", "cost-oracle/deconv-scatter"]
         + [f"grad/{v}" for v in ("full", "fwsc", "dwsc", "fdwsc")]
     )
     failures = [str(r) for r in catalog if not r.passed]
@@ -226,6 +227,38 @@ def test_run_catalog_name_filter():
     assert [r.case for r in got] == [f"grad/{v}" for v in ("full", "fwsc", "dwsc", "fdwsc")]
 
 
+@pytest.mark.parametrize("name_filter", ["grad/fdwsc", "deconv", "cost-oracle", "k1-collapse"])
+def test_filtered_catalog_lines_equal_unfiltered(catalog, name_filter):
+    got = run_catalog(name_filter=name_filter, seeds=4)
+    want = [str(r) for r in catalog if name_filter in r.case]
+    assert want and [str(r) for r in got] == want
+
+
+def test_filtered_catalog_runs_only_selected_cases(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("an unselected case ran")
+
+    monkeypatch.setattr(verify, "composition_check", boom)
+    monkeypatch.setattr(kernels, "backward", boom)
+    got = run_catalog(name_filter="cost-oracle", seeds=2)
+    assert [r.case for r in got] == ["cost-oracle/closed-form-vs-loop",
+                                     "cost-oracle/deconv-scatter"]
+
+
+def test_catalog_detects_unflipped_deconv_taps(monkeypatch):
+    orig = kernels.deconv3d_full
+
+    def unflipped(x, bank, stride=1):
+        w = bank.arrays["weights"][:, :, ::-1, ::-1, ::-1]
+        mirrored = KernelBank("full", bank.k, bank.c_in, bank.c_out, {"weights": w},
+                              bias=bank.bias, bn_scale=bank.bn_scale, bn_shift=bank.bn_shift)
+        return orig(x, mirrored, stride)
+
+    monkeypatch.setattr(kernels, "deconv3d_full", unflipped)
+    (r,) = run_catalog(name_filter="deconv-vs-loop", seeds=2)
+    assert not r.passed
+
+
 def test_catalog_detects_corrupted_cost_model(monkeypatch):
     orig = costs.count_layer
     monkeypatch.setattr(
@@ -233,9 +266,10 @@ def test_catalog_detects_corrupted_cost_model(monkeypatch):
         lambda spec, shape: orig(spec, shape) + CostBreakdown(macs_bn=1),
     )
     reports = {r.case: r for r in run_catalog(name_filter="cost-oracle", seeds=2)}
-    r = reports["cost-oracle/closed-form-vs-loop"]
-    assert not r.passed
-    assert "loop=" in r.note and "closed=" in r.note
+    for r in reports.values():
+        assert not r.passed
+        assert "loop=" in r.note and "closed=" in r.note
+    assert set(reports) == {"cost-oracle/closed-form-vs-loop", "cost-oracle/deconv-scatter"}
 
 
 def test_catalog_detects_corrupted_backward(monkeypatch):
