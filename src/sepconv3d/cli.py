@@ -7,9 +7,11 @@ Exit codes
     shape/channel mismatches, failed checks
 2   I/O failure: missing or unreadable files, truncated volume payloads
 
-Only the standard library is imported at module level.  The numeric
-modules load lazily inside the handlers so that ``bench`` can pin the
-BLAS/OpenMP thread-pool environment variables *before* numpy starts.
+Module level imports only the standard library and ``netcfg``, which
+is numpy-free, so ``profile`` never loads numpy.  The numeric modules
+load lazily inside the handlers that need them, so that ``bench`` can
+pin the BLAS/OpenMP thread-pool environment variables *before* numpy
+starts.
 """
 
 from __future__ import annotations
@@ -21,11 +23,11 @@ import statistics
 import sys
 import time
 
+from .netcfg import VARIANTS
+
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_IO = 2
-
-_VARIANTS = ("full", "fwsc", "dwsc", "fdwsc")
 
 # Every allocator that might spin up a thread pool under numpy.  Set before
 # the first numpy import or they are ignored.
@@ -58,9 +60,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("profile", help="per-layer MAC/parameter report for a network config")
     p.add_argument("--config", required=True, help="path to a network config (JSON)")
-    p.add_argument("--variant", choices=_VARIANTS,
+    p.add_argument("--variant", choices=VARIANTS,
                    help="rewrite every conv3d layer to this variant before counting")
-    p.add_argument("--baseline", choices=_VARIANTS,
+    p.add_argument("--baseline", choices=VARIANTS,
                    help="also count this variant and report reduction factors")
     p.add_argument("--input-size", metavar="CxDxHxW",
                    help="override the config's input extents")
@@ -73,14 +75,14 @@ def _build_parser() -> _Parser:
                    help="seeds per composition case (default 8)")
 
     p = sub.add_parser("apply", help="run one layer over a volume file")
-    p.add_argument("--op", choices=_VARIANTS, required=True)
+    p.add_argument("--op", choices=VARIANTS, required=True)
     p.add_argument("--weights", required=True, help="weight bundle (JSON sidecar path)")
     p.add_argument("--input", required=True, help="input volume (.sv3d)")
     p.add_argument("--output", required=True, help="output volume (.sv3d)")
     p.add_argument("--stride", type=int, default=1)
 
     p = sub.add_parser("bench", help="wall-time micro-benchmark on synthetic data")
-    p.add_argument("--op", choices=_VARIANTS, help="single op to time")
+    p.add_argument("--op", choices=VARIANTS, help="single op to time")
     p.add_argument("--compare", metavar="OP[,OP...]",
                    help="comma-separated ops timed on identical input")
     p.add_argument("--size", required=True, metavar="CxDxHxW",
@@ -224,12 +226,11 @@ def _cmd_profile(args) -> int:
     from dataclasses import replace
 
     from . import costs, netcfg
-    from .volume import Shape4
 
     cfg = netcfg.load_config(args.config)
     if args.input_size:
         dims = _parse_size(args.input_size)
-        cfg = replace(cfg, input=Shape4(*dims))
+        cfg = replace(cfg, input=netcfg.Shape4(*dims))
         netcfg.validate(cfg)
     if args.variant:
         cfg = netcfg.substitute_variant(cfg, args.variant)
@@ -307,9 +308,9 @@ def _cmd_bench(args) -> int:
         if not ops:
             raise _UsageError("--compare needs at least one op")
         for op in ops:
-            if op not in _VARIANTS:
+            if op not in VARIANTS:
                 raise _UsageError(f"unknown op {op!r} in --compare "
-                                  f"(choose from {', '.join(_VARIANTS)})")
+                                  f"(choose from {', '.join(VARIANTS)})")
     elif args.op:
         ops = [args.op]
     else:
@@ -413,16 +414,12 @@ def main(argv=None) -> int:
         # this process, otherwise the pools are already sized.
         _pin_threads(args.threads)
 
-    from .kernels import KernelError
-    from .netcfg import ConfigError
-    from .volume import VolumeError
-
     try:
         return _HANDLERS[args.command](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except (ConfigError, KernelError, VolumeError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError, KernelError and VolumeError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except OSError as exc:  # includes VolumeIOError

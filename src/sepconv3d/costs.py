@@ -38,10 +38,10 @@ from .netcfg import (
     ConfigError,
     LayerSpec,
     NetworkConfig,
+    Shape4,
     infer_shapes,
     layer_output_shape,
 )
-from .volume import Shape4
 
 __all__ = [
     "CostBreakdown",

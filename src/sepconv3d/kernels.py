@@ -14,12 +14,20 @@ channel mix are factored:
 * ``fdwsc``  - per-channel k*k window over (h, w), per-channel length-k
                window over d, then a 1x1x1 channel mix.
 
+Each variant is written once, in ``_layout``, as an ordered list of
+stages: a "dense" window with its channel mix, a per-slice "window", or
+a 1x1x1 "mix", each naming the bank array it reads, that array's stored
+shape, the weight view the stage runs on, and the stage's strides.
+The forward, the backward, the bank's array shapes and the SV3D bank
+files all fold over that list; the backward runs the stages keeping
+each stage's input, then walks them in reverse.
+
 There is also a transposed variant (``deconv3d_full``) that upsamples
 by the stride.  At stride s > 1 it runs as s**3 phase convolutions (the
 sub-pixel view of a strided transposed conv), so the upsampling zeros
 are never multiplied: per axis it executes k*n taps, which is the billed
 ``costs.scatter_taps`` plus the upper-edge taps that read zero padding
-(3n against 3n - 1 at k=3, s=2).
+(3n against 3n - 1 at k=3, s=2).  It is not a stage and has no backward.
 
 All windows use zero "same" padding, so output extents are
 ceil(n / stride) along strided axes.  Kernel extents must be odd.
@@ -41,20 +49,16 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
+from functools import partial
 from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .volume import (
-    Shape4,
-    Volume4,
-    VolumeError,
-    load_volume,
-    save_volume,
-    uniform_open,
-)
+from .netcfg import VARIANTS, LayerSpec, layer_output_shape
+from .volume import Shape4, Volume4, load_volume, save_volume, uniform_open
 
 __all__ = [
     "VARIANTS",
@@ -74,8 +78,6 @@ __all__ = [
     "save_bank",
     "scale_shift",
 ]
-
-VARIANTS = ("full", "fwsc", "dwsc", "fdwsc")
 
 
 class KernelError(ValueError):
@@ -106,26 +108,50 @@ def _check_vec(name: str, v, length: int) -> Optional[np.ndarray]:
 
 
 # ----------------------------------------------------------------------
+# stage lists
+# ----------------------------------------------------------------------
+
+
+def _layout(variant, k, c_in, c_out, d_in, d_out, s=1):
+    """Each conv variant once, as its stages in execution order.
+
+    A stage is (kind, bank array, stored shape, weight view, strides).
+    "dense" is a full window plus channel mix, with the view
+    (c_out, c_in, ka, kb, kc); "window" is a per-slice window with the
+    view (slices, ka, kb, kc); "mix" is a 1x1x1 product along axis 0.
+    dwsc's stages run on the (d, c, h, w) view, so its slices are
+    disparities.
+    """
+    if variant == "full":
+        w = (c_out, c_in, k, k, k)
+        return (("dense", "weights", w, w, (s, s, s)),)
+    if variant == "fdwsc":
+        return (
+            ("window", "spatial", (c_in, k, k), (c_in, 1, k, k), (1, s, s)),
+            ("window", "disparity", (c_in, k), (c_in, k, 1, 1), (s, 1, 1)),
+            ("mix", "pointwise", (c_out, c_in), (c_out, c_in), None),
+        )
+    if variant == "dwsc":
+        n, m, strides = d_in, d_out, (1, s, s)
+    else:
+        n, m, strides = c_in, c_out, (s, s, s)
+    return (
+        ("window", "depthwise", (n, k, k, k), (n, k, k, k), strides),
+        ("mix", "pointwise", (m, n), (m, n), None),
+    )
+
+
+def _array_shapes(variant, k, c_in, c_out, d_in, d_out) -> dict:
+    """Stored shape of each bank array, in stage order."""
+    return {
+        name: shape for _, name, shape, _, _ in _layout(variant, k, c_in, c_out, d_in, d_out)
+    }
+
+
+# ----------------------------------------------------------------------
 # kernel banks
 # ----------------------------------------------------------------------
 
-# array names each variant carries, with shape builders
-_ARRAY_SHAPES = {
-    "full": lambda b: {"weights": (b.c_out, b.c_in, b.k, b.k, b.k)},
-    "fwsc": lambda b: {
-        "depthwise": (b.c_in, b.k, b.k, b.k),
-        "pointwise": (b.c_out, b.c_in),
-    },
-    "dwsc": lambda b: {
-        "depthwise": (b.d_in, b.k, b.k, b.k),
-        "pointwise": (b.d_out, b.d_in),
-    },
-    "fdwsc": lambda b: {
-        "spatial": (b.c_in, b.k, b.k),
-        "disparity": (b.c_in, b.k),
-        "pointwise": (b.c_out, b.c_in),
-    },
-}
 
 def _check_scalars(variant, k, c_in, c_out, d_in, d_out):
     """Validate and normalize the scalar fields shared by every bank."""
@@ -206,7 +232,7 @@ class KernelBank:
         self.d_in = d_in
         self.d_out = d_out
 
-        want = _ARRAY_SHAPES[variant](self)
+        want = _array_shapes(variant, k, c_in, c_out, d_in, d_out)
         if set(arrays) != set(want):
             raise KernelError(
                 f"{variant} bank needs arrays {sorted(want)}, got {sorted(arrays)}"
@@ -245,22 +271,15 @@ class KernelBank:
         bias: bool = False,
         bn: bool = False,
     ) -> "KernelBank":
-        """Seeded bank; each stage is uniform in +-1/sqrt(fan_in)."""
+        """Seeded bank; each array is uniform in +-1/sqrt(fan_in), where
+        fan_in is the product of its extents after the first."""
         if c_out is None:
             c_out = c_in
         k, c_in, c_out, d_in, d_out = _check_scalars(variant, k, c_in, c_out, d_in, d_out)
-        fans = {
-            "weights": c_in * k ** 3,
-            "depthwise": k ** 3,
-            "pointwise": d_in if variant == "dwsc" else c_in,
-            "spatial": k ** 2,
-            "disparity": k,
-        }
-        dims = _Dims(k, c_in, c_out, d_in, d_out)
         arrays = {}
-        for name, shape in _ARRAY_SHAPES[variant](dims).items():
-            size = int(np.prod(shape))
-            scale = 1.0 / float(np.sqrt(fans[name]))
+        for name, shape in _array_shapes(variant, k, c_in, c_out, d_in, d_out).items():
+            size = math.prod(shape)
+            scale = 1.0 / float(np.sqrt(math.prod(shape[1:])))
             arrays[name] = uniform_open(seed * 8 + _ROLE[name], size).reshape(shape) * scale
         b = 0.1 * uniform_open(seed * 8 + _ROLE["bias"], c_out) if bias else None
         s = 1.0 + 0.25 * uniform_open(seed * 8 + _ROLE["bn_scale"], c_out) if bn else None
@@ -298,12 +317,16 @@ class KernelBank:
         )
 
 
-class _Dims:
-    """Shape-builder view over validated scalars (see _ARRAY_SHAPES)."""
+def _bank_layout(bank: KernelBank, s: int = 1):
+    return _layout(bank.variant, bank.k, bank.c_in, bank.c_out, bank.d_in, bank.d_out, s)
 
-    def __init__(self, k, c_in, c_out, d_in, d_out):
-        self.k, self.c_in, self.c_out = k, c_in, c_out
-        self.d_in, self.d_out = d_in, d_out
+
+def _stages(bank: KernelBank, s: int):
+    """The bank's stages at stride s: (kind, array name, weight view, strides)."""
+    return [
+        (kind, name, bank.arrays[name].reshape(view), strides)
+        for kind, name, _, view, strides in _bank_layout(bank, s)
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -413,16 +436,40 @@ def _pointwise_core(x: np.ndarray, pw: np.ndarray) -> np.ndarray:
     return np.tensordot(pw, x, axes=([1], [0]))
 
 
-def _affine_core(z: np.ndarray, bank: KernelBank) -> np.ndarray:
-    """Post-mix per-channel affine: scale * (z + bias) + shift.
+_STAGE_FWD = {
+    "dense": _conv_full_core,
+    "window": _depthwise_core,
+    "mix": lambda h, w, strides: _pointwise_core(h, w),
+}
 
-    Works in place: `z` must be a fresh core output that the caller owns.
+
+def _fold(h: np.ndarray, stages, inputs: Optional[list] = None) -> np.ndarray:
+    """Run `stages` over h; appends each stage's input to `inputs` if given."""
+    for kind, _, w, strides in stages:
+        if inputs is not None:
+            inputs.append(h)
+        h = _STAGE_FWD[kind](h, w, strides)
+    return h
+
+
+def _stage_view(arr: np.ndarray, bank: KernelBank) -> np.ndarray:
+    """dwsc's stages run on the (d, c, h, w) view; the swap is its own inverse."""
+    if bank.variant == "dwsc":
+        return np.ascontiguousarray(arr.transpose(1, 0, 2, 3))
+    return arr
+
+
+def _affine_core(z: np.ndarray, bias, scale, shift) -> np.ndarray:
+    """Per-channel affine: scale * (z + bias) + shift; absent vectors are
+    the identity.
+
+    Works in place: `z` must be a fresh array that the caller owns.
     """
-    if bank.bias is not None:
-        z += bank.bias[:, None, None, None]
-    if bank.bn_scale is not None:
-        z *= bank.bn_scale[:, None, None, None]
-        z += bank.bn_shift[:, None, None, None]
+    if bias is not None:
+        z += bias[:, None, None, None]
+    if scale is not None:
+        z *= scale[:, None, None, None]
+        z += shift[:, None, None, None]
     return z
 
 
@@ -439,9 +486,11 @@ def _want(bank: KernelBank, variant: str) -> None:
         raise KernelError(f"expected a {variant!r} bank, got {bank.variant!r}")
 
 
-def _want_channels(x: Volume4, bank: KernelBank) -> None:
+def _want_input(x: Volume4, bank: KernelBank) -> None:
     if x.c != bank.c_in:
         raise KernelError(f"input has {x.c} channels, bank expects {bank.c_in}")
+    if bank.variant == "dwsc" and x.d != bank.d_in:
+        raise KernelError(f"input has {x.d} disparities, bank expects {bank.d_in}")
 
 
 # ----------------------------------------------------------------------
@@ -449,23 +498,24 @@ def _want_channels(x: Volume4, bank: KernelBank) -> None:
 # ----------------------------------------------------------------------
 
 
+def forward(x: Volume4, bank: KernelBank, stride: int = 1) -> Volume4:
+    """Run the bank's variant: its stages, then the per-channel affine."""
+    s = _check_stride(stride)
+    _want_input(x, bank)
+    z = _stage_view(_fold(_stage_view(_as_f64(x), bank), _stages(bank, s)), bank)
+    return _finish(_affine_core(z, bank.bias, bank.bn_scale, bank.bn_shift), x)
+
+
 def conv3d_full(x: Volume4, bank: KernelBank, stride: int = 1) -> Volume4:
     """Dense 3D convolution over (d, h, w) with full channel mixing."""
-    s = _check_stride(stride)
     _want(bank, "full")
-    _want_channels(x, bank)
-    z = _conv_full_core(_as_f64(x), bank.arrays["weights"], (s, s, s))
-    return _finish(_affine_core(z, bank), x)
+    return forward(x, bank, stride)
 
 
 def conv3d_fwsc(x: Volume4, bank: KernelBank, stride: int = 1) -> Volume4:
     """Per-channel cube window over (d, h, w), then a 1x1x1 channel mix."""
-    s = _check_stride(stride)
     _want(bank, "fwsc")
-    _want_channels(x, bank)
-    mid = _depthwise_core(_as_f64(x), bank.arrays["depthwise"], (s, s, s))
-    z = _pointwise_core(mid, bank.arrays["pointwise"])
-    return _finish(_affine_core(z, bank), x)
+    return forward(x, bank, stride)
 
 
 def conv3d_dwsc(x: Volume4, bank: KernelBank, stride: int = 1) -> Volume4:
@@ -474,17 +524,8 @@ def conv3d_dwsc(x: Volume4, bank: KernelBank, stride: int = 1) -> Volume4:
     The channel count is preserved; stride applies to h and w only, so
     the output is (c, d_out, ceil(h/s), ceil(w/s)).
     """
-    s = _check_stride(stride)
     _want(bank, "dwsc")
-    _want_channels(x, bank)
-    if x.d != bank.d_in:
-        raise KernelError(f"input has {x.d} disparities, bank expects {bank.d_in}")
-    # work per disparity slice: axis order (d, c, h, w)
-    xd = np.ascontiguousarray(_as_f64(x).transpose(1, 0, 2, 3))
-    mid = _depthwise_core(xd, bank.arrays["depthwise"], (1, s, s))
-    zd = _pointwise_core(mid, bank.arrays["pointwise"])
-    z = np.ascontiguousarray(zd.transpose(1, 0, 2, 3))
-    return _finish(_affine_core(z, bank), x)
+    return forward(x, bank, stride)
 
 
 def conv3d_fdwsc(x: Volume4, bank: KernelBank, stride: int = 1) -> Volume4:
@@ -492,16 +533,8 @@ def conv3d_fdwsc(x: Volume4, bank: KernelBank, stride: int = 1) -> Volume4:
 
     Stride applies to h and w in the first stage and to d in the second.
     """
-    s = _check_stride(stride)
     _want(bank, "fdwsc")
-    _want_channels(x, bank)
-    k, ci = bank.k, bank.c_in
-    sp = bank.arrays["spatial"].reshape(ci, 1, k, k)
-    dp = bank.arrays["disparity"].reshape(ci, k, 1, 1)
-    mid = _depthwise_core(_as_f64(x), sp, (1, s, s))
-    mid = _depthwise_core(mid, dp, (s, 1, 1))
-    z = _pointwise_core(mid, bank.arrays["pointwise"])
-    return _finish(_affine_core(z, bank), x)
+    return forward(x, bank, stride)
 
 
 def deconv3d_full(x: Volume4, bank: KernelBank, stride: int = 1) -> Volume4:
@@ -510,13 +543,14 @@ def deconv3d_full(x: Volume4, bank: KernelBank, stride: int = 1) -> Volume4:
 
     Runs one dense window with the tap-reversed kernel per output phase
     (see _deconv_phase_core), so the inserted upsampling zeros are never
-    multiplied.  Stride 1 has a single phase: the dense window itself."""
+    multiplied.  Stride 1 has a single phase: the dense window itself.
+    `backward` does not differentiate it."""
     s = _check_stride(stride)
     _want(bank, "full")
-    _want_channels(x, bank)
+    _want_input(x, bank)
     wflip = bank.arrays["weights"][:, :, ::-1, ::-1, ::-1]
     z = _deconv_phase_core(_as_f64(x), wflip, s)
-    return _finish(_affine_core(z, bank), x)
+    return _finish(_affine_core(z, bank.bias, bank.bn_scale, bank.bn_shift), x)
 
 
 def scale_shift(x: Volume4, bias=None, scale=None, shift=None) -> Volume4:
@@ -529,12 +563,7 @@ def scale_shift(x: Volume4, bias=None, scale=None, shift=None) -> Volume4:
     sh = _check_vec("shift", shift, x.c)
     if (sc is None) != (sh is None):
         raise KernelError("scale and shift must be given together")
-    z = _as_f64(x)
-    if b is not None:
-        z = z + b[:, None, None, None]
-    if sc is not None:
-        z = sc[:, None, None, None] * z + sh[:, None, None, None]
-    return _finish(z, x)
+    return _finish(_affine_core(np.array(x.array, dtype=np.float64), b, sc, sh), x)
 
 
 def depthwise_cube(x: Volume4, weights, stride: int = 1) -> Volume4:
@@ -560,26 +589,11 @@ def pointwise_mix(x: Volume4, weights) -> Volume4:
     return _finish(_pointwise_core(_as_f64(x), w), x)
 
 
-_FORWARD = {
-    "full": conv3d_full,
-    "fwsc": conv3d_fwsc,
-    "dwsc": conv3d_dwsc,
-    "fdwsc": conv3d_fdwsc,
-}
-
-
-def forward(x: Volume4, bank: KernelBank, stride: int = 1) -> Volume4:
-    """Dispatch on the bank's variant."""
-    return _FORWARD[bank.variant](x, bank, stride)
-
-
 def output_dims(variant: str, in_dims: Shape4, k: int, stride: int, c_out: int) -> Shape4:
     """Output extents of a conv op, without running it."""
-    c, d, h, w = in_dims
-    s = _check_stride(stride)
-    if variant == "dwsc":
-        return Shape4(c, d, out_extent(h, s), out_extent(w, s))
-    return Shape4(c_out, out_extent(d, s), out_extent(h, s), out_extent(w, s))
+    layer = LayerSpec(id="output_dims", kind="conv3d", variant=variant, k=k,
+                      stride=_check_stride(stride), out_channels=c_out, bias=False, bn=False)
+    return layer_output_shape(layer, in_dims)
 
 
 # ----------------------------------------------------------------------
@@ -587,51 +601,49 @@ def output_dims(variant: str, in_dims: Shape4, k: int, stride: int, c_out: int) 
 # ----------------------------------------------------------------------
 
 
-def _depthwise_bwd(x: np.ndarray, w: np.ndarray, strides, gz: np.ndarray):
-    """Gradients of _depthwise_core w.r.t. its input and weights."""
-    n, ka, kb, kc = w.shape
-    xp = _pad_same(x, (ka, kb, kc))
-    na = xp.shape[1] - ka + 1
-    nb = xp.shape[2] - kb + 1
-    nc = xp.shape[3] - kc + 1
-    sa, sb, sc = strides
+def _window_bwd(x: np.ndarray, w: np.ndarray, strides, gz: np.ndarray, tap):
+    """Gradients of a window stage w.r.t. its input and weights.
+
+    Walks the kernel taps; `tap(x_slice, w_tap, gz)` returns one tap's
+    (weight gradient, input gradient), where x_slice is what the tap
+    reads of the padded input at every strided output site.
+    """
+    ks = w.shape[-3:]
+    xp = _pad_same(x, ks)
+    n = [m - k + 1 for m, k in zip(xp.shape[1:], ks)]
     gxp = np.zeros_like(xp)
     gw = np.zeros_like(w)
-    for a in range(ka):
-        for b in range(kb):
-            for c in range(kc):
-                sl = (
-                    slice(None),
-                    slice(a, a + na, sa),
-                    slice(b, b + nb, sb),
-                    slice(c, c + nc, sc),
-                )
-                gw[:, a, b, c] = np.einsum("nzyx,nzyx->n", gz, xp[sl])
-                gxp[sl] += w[:, a, b, c, None, None, None] * gz
-    return _unpad(gxp, x.shape, (ka, kb, kc)), gw
+    for t in itertools.product(*map(range, ks)):
+        sl = (slice(None),) + tuple(slice(a, a + m, s) for a, m, s in zip(t, n, strides))
+        wt = (Ellipsis,) + t
+        gw[wt], gx = tap(xp[sl], w[wt], gz)
+        gxp[sl] += gx
+    return _unpad(gxp, x.shape, ks), gw
 
 
-def _conv_full_bwd(x: np.ndarray, w: np.ndarray, strides, gz: np.ndarray):
-    co, ci, ka, kb, kc = w.shape
-    sa, sb, sc = strides
-    xp = _pad_same(x, (ka, kb, kc))
-    na = xp.shape[1] - ka + 1
-    nb = xp.shape[2] - kb + 1
-    nc = xp.shape[3] - kc + 1
-    gxp = np.zeros_like(xp)
-    gw = np.zeros_like(w)
-    for a in range(ka):
-        for b in range(kb):
-            for c in range(kc):
-                sl = (
-                    slice(None),
-                    slice(a, a + na, sa),
-                    slice(b, b + nb, sb),
-                    slice(c, c + nc, sc),
-                )
-                gw[:, :, a, b, c] = np.tensordot(gz, xp[sl], axes=([1, 2, 3], [1, 2, 3]))
-                gxp[sl] += np.tensordot(w[:, :, a, b, c], gz, axes=([0], [0]))
-    return _unpad(gxp, x.shape, (ka, kb, kc)), gw
+def _dense_tap(xs: np.ndarray, wt: np.ndarray, gz: np.ndarray):
+    return (
+        np.tensordot(gz, xs, axes=([1, 2, 3], [1, 2, 3])),
+        np.tensordot(wt, gz, axes=([0], [0])),
+    )
+
+
+def _slice_tap(xs: np.ndarray, wt: np.ndarray, gz: np.ndarray):
+    return np.einsum("nzyx,nzyx->n", gz, xs), wt[:, None, None, None] * gz
+
+
+def _pointwise_bwd(h: np.ndarray, pw: np.ndarray, strides, gz: np.ndarray):
+    return (
+        np.tensordot(pw, gz, axes=([0], [0])),
+        np.tensordot(gz, h, axes=([1, 2, 3], [1, 2, 3])),
+    )
+
+
+_STAGE_BWD = {
+    "dense": partial(_window_bwd, tap=_dense_tap),
+    "window": partial(_window_bwd, tap=_slice_tap),
+    "mix": _pointwise_bwd,
+}
 
 
 def _unpad(arr: np.ndarray, shape, ks) -> np.ndarray:
@@ -661,114 +673,44 @@ def _affine_bwd(z: np.ndarray, bank: KernelBank, g: np.ndarray):
 def backward(x: Volume4, bank: KernelBank, grad_out: Volume4, stride: int = 1):
     """Analytic gradients of sum-style losses through `forward`.
 
+    Differentiates the conv3d variants only.  A `deconv3d_full` layer
+    carries a plain "full" bank, so it cannot be told apart here: given
+    one, this returns the gradients of `conv3d_full` (or raises on a
+    shape mismatch), not of the transposed conv.
+
     Returns (grad_input: Volume4 float64, grads: dict) where `grads`
     holds one float64 array per bank array, plus "bias"/"bn_scale"/
     "bn_shift" when present.
     """
     s = _check_stride(stride)
-    _want_channels(x, bank)
-    xa = _as_f64(x)
+    _want_input(x, bank)
     g = np.asarray(grad_out.array, dtype=np.float64)
-    v = bank.variant
-
-    if v == "full":
-        z = _conv_full_core(xa, bank.arrays["weights"], (s, s, s))
-        _expect_grad_shape(g, z)
-        gz, extras = _affine_bwd(z, bank, g)
-        gx, gw = _conv_full_bwd(xa, bank.arrays["weights"], (s, s, s), gz)
-        grads = {"weights": gw}
-
-    elif v == "fwsc":
-        mid = _depthwise_core(xa, bank.arrays["depthwise"], (s, s, s))
-        z = _pointwise_core(mid, bank.arrays["pointwise"])
-        _expect_grad_shape(g, z)
-        gz, extras = _affine_bwd(z, bank, g)
-        gpw = np.tensordot(gz, mid, axes=([1, 2, 3], [1, 2, 3]))
-        gmid = np.tensordot(bank.arrays["pointwise"], gz, axes=([0], [0]))
-        gx, gdw = _depthwise_bwd(xa, bank.arrays["depthwise"], (s, s, s), gmid)
-        grads = {"depthwise": gdw, "pointwise": gpw}
-
-    elif v == "dwsc":
-        if x.d != bank.d_in:
-            raise KernelError(f"input has {x.d} disparities, bank expects {bank.d_in}")
-        xd = np.ascontiguousarray(xa.transpose(1, 0, 2, 3))
-        mid = _depthwise_core(xd, bank.arrays["depthwise"], (1, s, s))
-        zd = _pointwise_core(mid, bank.arrays["pointwise"])
-        z = np.ascontiguousarray(zd.transpose(1, 0, 2, 3))
-        _expect_grad_shape(g, z)
-        gz, extras = _affine_bwd(z, bank, g)
-        gzd = np.ascontiguousarray(gz.transpose(1, 0, 2, 3))
-        gpw = np.tensordot(gzd, mid, axes=([1, 2, 3], [1, 2, 3]))
-        gmid = np.tensordot(bank.arrays["pointwise"], gzd, axes=([0], [0]))
-        gxd, gdw = _depthwise_bwd(xd, bank.arrays["depthwise"], (1, s, s), gmid)
-        gx = np.ascontiguousarray(gxd.transpose(1, 0, 2, 3))
-        grads = {"depthwise": gdw, "pointwise": gpw}
-
-    elif v == "fdwsc":
-        k, ci = bank.k, bank.c_in
-        sp = bank.arrays["spatial"].reshape(ci, 1, k, k)
-        dp = bank.arrays["disparity"].reshape(ci, k, 1, 1)
-        mid1 = _depthwise_core(xa, sp, (1, s, s))
-        mid2 = _depthwise_core(mid1, dp, (s, 1, 1))
-        z = _pointwise_core(mid2, bank.arrays["pointwise"])
-        _expect_grad_shape(g, z)
-        gz, extras = _affine_bwd(z, bank, g)
-        gpw = np.tensordot(gz, mid2, axes=([1, 2, 3], [1, 2, 3]))
-        gmid2 = np.tensordot(bank.arrays["pointwise"], gz, axes=([0], [0]))
-        gmid1, gdp = _depthwise_bwd(mid1, dp, (s, 1, 1), gmid2)
-        gx, gsp = _depthwise_bwd(xa, sp, (1, s, s), gmid1)
-        grads = {
-            "spatial": gsp.reshape(ci, k, k),
-            "disparity": gdp.reshape(ci, k),
-            "pointwise": gpw,
-        }
-
-    else:  # pragma: no cover - guarded by KernelBank
-        raise KernelError(f"unknown variant {v!r}")
-
-    grads.update(extras)
-    return Volume4(gx, copy=False), grads
-
-
-def _expect_grad_shape(g: np.ndarray, z: np.ndarray) -> None:
+    stages = _stages(bank, s)
+    inputs = []
+    z = _stage_view(_fold(_stage_view(_as_f64(x), bank), stages, inputs), bank)
     if g.shape != z.shape:
-        raise KernelError(
-            f"grad_out shape {g.shape} does not match forward output {z.shape}"
-        )
+        raise KernelError(f"grad_out shape {g.shape} does not match forward output {z.shape}")
+    g, extras = _affine_bwd(z, bank, g)
+    g = _stage_view(g, bank)
+    grads = {}
+    for kind, name, w, strides in reversed(stages):
+        g, grads[name] = _STAGE_BWD[kind](inputs.pop(), w, strides, g)
+    grads = {name: grads[name].reshape(arr.shape) for name, arr in bank.arrays.items()}
+    grads.update(extras)
+    return Volume4(_stage_view(g, bank), copy=False), grads
 
 
 # ----------------------------------------------------------------------
 # bank serialization: a JSON sidecar plus one SV3D file per array
 # ----------------------------------------------------------------------
 
-# how each logical array folds into SV3D's four extents
-def _to_sv3d(name: str, arr: np.ndarray, bank: KernelBank) -> np.ndarray:
-    if name == "weights":
-        return arr.reshape(bank.c_out * bank.c_in, bank.k, bank.k, bank.k)
-    if name == "depthwise":
-        return arr
-    if name == "pointwise":
-        return arr.reshape(arr.shape[0], arr.shape[1], 1, 1)
-    if name == "spatial":
-        return arr.reshape(arr.shape[0], 1, bank.k, bank.k)
-    if name == "disparity":
-        return arr.reshape(arr.shape[0], bank.k, 1, 1)
-    raise KernelError(f"unknown array {name!r}")
 
-
-def _from_sv3d(name: str, arr: np.ndarray, meta: dict) -> np.ndarray:
-    k = meta["k"]
-    if name == "weights":
-        return arr.reshape(meta["out_channels"], meta["in_channels"], k, k, k)
-    if name == "depthwise":
-        return arr
-    if name == "pointwise":
-        return arr.reshape(arr.shape[0], arr.shape[1])
-    if name == "spatial":
-        return arr.reshape(arr.shape[0], k, k)
-    if name == "disparity":
-        return arr.reshape(arr.shape[0], k)
-    raise KernelError(f"unknown array {name!r}")
+def _sv3d_shape(view) -> tuple:
+    """SV3D extents of an array stored as its weight view: the leading
+    axes fold into one, and a mix's (n_out, n_in) gains two unit axes."""
+    if len(view) < 4:
+        return tuple(view) + (1, 1)
+    return (math.prod(view[:-3]),) + tuple(view[-3:])
 
 
 def save_bank(path, bank: KernelBank) -> None:
@@ -794,8 +736,8 @@ def save_bank(path, bank: KernelBank) -> None:
         save_volume(os.path.join(base_dir, fname), Volume4(arr4, copy=False))
         return fname
 
-    for name, arr in bank.arrays.items():
-        meta["arrays"][name] = _dump(name, _to_sv3d(name, arr, bank))
+    for _, name, _, view, _ in _bank_layout(bank):
+        meta["arrays"][name] = _dump(name, bank.arrays[name].reshape(_sv3d_shape(view)))
     if bank.bias is not None:
         meta["bias"] = _dump("bias", bank.bias.reshape(-1, 1, 1, 1))
     if bank.bn_scale is not None:
@@ -817,30 +759,46 @@ def load_bank(path) -> KernelBank:
     try:
         variant = meta["op"]
         names = meta["arrays"]
+        if variant not in VARIANTS:
+            raise KernelError(f"unknown op {variant!r} in {path}")
+        dims = _check_scalars(
+            variant, meta["k"], meta["in_channels"], meta["out_channels"],
+            meta.get("disparity_in"), meta.get("disparity_out"),
+        )
     except (KeyError, TypeError) as e:
         raise KernelError(f"bank sidecar {path} is missing field {e}") from e
-    if variant not in VARIANTS:
-        raise KernelError(f"unknown op {variant!r} in {path}")
 
     def _load(fname: str) -> np.ndarray:
         return load_volume(os.path.join(base_dir, fname)).to_numpy().astype(np.float64)
 
+    # arrays this variant does not have pass through for KernelBank to reject
+    layout = {name: (shape, view) for _, name, shape, view, _ in _layout(variant, *dims)}
     arrays = {}
     for name, fname in names.items():
-        arrays[name] = _from_sv3d(name, _load(fname), meta)
+        arr = _load(fname)
+        if name in layout:
+            shape, view = layout[name]
+            if arr.shape != _sv3d_shape(view):
+                raise KernelError(
+                    f"array {name!r} in {path} has extents {arr.shape}, "
+                    f"expected {_sv3d_shape(view)}"
+                )
+            arr = arr.reshape(shape)
+        arrays[name] = arr
 
     def _vec(tag: str):
         fname = meta.get(tag)
         return None if fname is None else _load(fname).reshape(-1)
 
+    k, c_in, c_out, d_in, d_out = dims
     return KernelBank(
         variant,
-        meta["k"],
-        meta["in_channels"],
-        meta["out_channels"],
+        k,
+        c_in,
+        c_out,
         arrays,
-        d_in=meta.get("disparity_in"),
-        d_out=meta.get("disparity_out"),
+        d_in=d_in,
+        d_out=d_out,
         bias=_vec("bias"),
         bn_scale=_vec("bn_scale"),
         bn_shift=_vec("bn_shift"),

@@ -28,16 +28,15 @@ in raw MACs and raw parameter counts; it lets reports state this
 stack's share of whole-network cost.
 
 This module is dependency-free on purpose: profiling a config must not
-pull in the numeric stack.
+pull in the numeric stack.  That is also why ``Shape4`` and ``VARIANTS``
+live here; ``volume`` re-exports ``Shape4`` and ``kernels`` ``VARIANTS``.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Optional
-
-from .volume import Shape4
+from typing import NamedTuple, Optional
 
 __all__ = [
     "KINDS",
@@ -46,6 +45,7 @@ __all__ = [
     "ConfigError",
     "LayerSpec",
     "NetworkConfig",
+    "Shape4",
     "config_to_dict",
     "dumps_config",
     "infer_shapes",
@@ -62,6 +62,24 @@ KINDS = ("conv3d", "deconv3d")
 
 class ConfigError(ValueError):
     """Raised on malformed or inconsistent network configs."""
+
+
+class Shape4(NamedTuple):
+    """Extent of a volume along (c, d, h, w); every field is >= 1."""
+
+    c: int
+    d: int
+    h: int
+    w: int
+
+    @property
+    def sites(self) -> int:
+        """Number of (d, h, w) grid sites, channels excluded."""
+        return self.d * self.h * self.w
+
+    @property
+    def numel(self) -> int:
+        return self.c * self.d * self.h * self.w
 
 
 @dataclass(frozen=True)

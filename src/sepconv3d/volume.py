@@ -12,14 +12,17 @@ operation returns a fresh volume.
 The module also provides the SV3D binary container (a small header plus
 the raw little-endian payload) and a deterministic counter-based RNG so
 that seeded volumes are bit-identical across platforms and runs.
+``Shape4`` is defined in the numpy-free ``netcfg`` and re-exported here.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import BinaryIO, Iterable, NamedTuple
+from typing import BinaryIO, Iterable
 
 import numpy as np
+
+from .netcfg import Shape4
 
 __all__ = [
     "Shape4",
@@ -39,24 +42,6 @@ class VolumeError(ValueError):
 
 class VolumeIOError(IOError):
     """Raised on malformed or truncated SV3D payloads."""
-
-
-class Shape4(NamedTuple):
-    """Extent of a volume along (c, d, h, w); every field is >= 1."""
-
-    c: int
-    d: int
-    h: int
-    w: int
-
-    @property
-    def sites(self) -> int:
-        """Number of (d, h, w) grid sites, channels excluded."""
-        return self.d * self.h * self.w
-
-    @property
-    def numel(self) -> int:
-        return self.c * self.d * self.h * self.w
 
 
 _AXIS_BY_NAME = {"c": 0, "d": 1, "h": 2, "w": 3}

@@ -5,6 +5,8 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 from importlib import resources
 
 import numpy as np
@@ -164,6 +166,26 @@ def test_profile_missing_config_is_io_error(capsys, tmp_path):
     code, _, err = _run(capsys, "profile", "--config", str(tmp_path / "nope.json"))
     assert code == 2
     assert "error:" in err
+
+
+def test_profile_does_not_import_numpy():
+    # a fresh interpreter, since this one already holds numpy
+    code = (
+        "import sys\n"
+        "from sepconv3d import cli\n"
+        f"rc = cli.main(['profile', '--config', {_config_path('ganet11-desk')!r},\n"
+        "               '--variant', 'fdwsc', '--baseline', 'full', '--format', 'json'])\n"
+        "assert rc == 0, rc\n"
+        "assert 'numpy' not in sys.modules, 'profile imported numpy'\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["name"] == "ganet11-desk"
 
 
 # ----------------------------------------------------------------------

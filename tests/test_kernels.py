@@ -1,12 +1,15 @@
 """Convolution operators: golden values, algebraic properties, gradients,
 bank validation and serialization."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sepconv3d.kernels import (
+    VARIANTS,
     KernelBank,
     KernelError,
     backward,
@@ -24,7 +27,7 @@ from sepconv3d.kernels import (
     save_bank,
     scale_shift,
 )
-from sepconv3d.volume import Shape4, Volume4
+from sepconv3d.volume import Shape4, Volume4, save_volume
 
 
 def _ones_bank(variant, k, ci, co=None, d_in=None):
@@ -374,6 +377,66 @@ def test_backward_rejects_mismatched_grad_shape():
         backward(x, bank, Volume4.zeros((2, 3, 4, 4), dtype=np.float64))
 
 
+def _replaced(bank, name, value):
+    """Copy of `bank` with the array or affine vector `name` replaced."""
+    arrays = dict(bank.arrays)
+    vecs = {"bias": bank.bias, "bn_scale": bank.bn_scale, "bn_shift": bank.bn_shift}
+    (arrays if name in arrays else vecs)[name] = value
+    return KernelBank(
+        bank.variant, bank.k, bank.c_in, bank.c_out, arrays,
+        d_in=bank.d_in, d_out=bank.d_out, **vecs,
+    )
+
+
+def _worst_directional_error(bwd, variant, stride, seed=40):
+    """Worst relative gap between `bwd`'s directional derivatives of
+    loss = vdot(g, forward(x)), for a seeded random g, and their central
+    differences.  One random direction for the input and one for each
+    bank array and affine vector."""
+    rng = np.random.default_rng(seed)
+    ci = 2
+    bank = KernelBank.random(
+        variant, 3, ci, ci if variant == "dwsc" else 3,
+        d_in=(4 if variant == "dwsc" else None), seed=seed, bias=True, bn=True,
+    )
+    x = rng.uniform(-1.0, 1.0, (ci, 4, 5, 6))
+    g = rng.uniform(-1.0, 1.0, tuple(forward(Volume4(x), bank, stride).dims))
+    gx, grads = bwd(Volume4(x), bank, Volume4(g), stride)
+
+    def loss(xa, b):
+        return float(np.vdot(g, forward(Volume4(xa), b, stride).array))
+
+    eps = 1e-3
+    u = rng.uniform(-1.0, 1.0, x.shape)
+    fd = (loss(x + eps * u, bank) - loss(x - eps * u, bank)) / (2 * eps)
+    pairs = [(fd, float(np.vdot(gx.array, u)))]
+    for name, grad in grads.items():
+        base = bank.arrays[name] if name in bank.arrays else getattr(bank, name)
+        u = rng.uniform(-1.0, 1.0, base.shape)
+        up = _replaced(bank, name, base + eps * u)
+        down = _replaced(bank, name, base - eps * u)
+        fd = (loss(x, up) - loss(x, down)) / (2 * eps)
+        pairs.append((fd, float(np.vdot(grad, u))))
+    assert len(pairs) == 1 + len(bank.arrays) + 3
+    return max(abs(fd - an) / max(abs(fd), abs(an)) for fd, an in pairs)
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_backward_matches_directional_central_differences(variant, stride):
+    assert _worst_directional_error(backward, variant, stride) < 1e-6
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_directional_check_catches_spatially_flipped_grad_out(variant):
+    # pairing each stage with the wrong activation keeps every sum of g
+    # but not the products, which a g = ones check cannot see
+    def flipped(x, bank, grad_out, stride):
+        return backward(x, bank, Volume4(grad_out.array[:, ::-1, ::-1, ::-1]), stride)
+
+    assert _worst_directional_error(flipped, variant, 1) > 1e-2
+
+
 # ----------------------------------------------------------------------
 # bank construction and validation
 # ----------------------------------------------------------------------
@@ -485,6 +548,73 @@ def test_bank_save_load_roundtrip(tmp_path, variant, extras):
         assert (a is None) == (b is None)
         if a is not None:
             assert np.array_equal(a, b)
+
+
+# SHA-256 of each file save_bank writes for
+# KernelBank.random(variant, 3, 2, c_out, seed=61, bias=True, bn=True):
+# the SV3D bank layout is a contract, so these bytes must not move.
+_BIAS = "5b04be2d4407ef113d47eba03e9bfafea7408c585f2bfb5bfd76aa6789955fae"
+_BN_SCALE = "ef7f50d0446a329bc7a66e8fec2f87c97e168843e8586f30652f6e570281a277"
+_BN_SHIFT = "e026273c43eeadbe5d4de943d9657d152b89ccc4fae95d76b9432ee3a5dc3bc2"
+_POINTWISE = "313c476d6df2f071ba90f70af5b646caa7a82b2daf4ee076829b16e80f38303c"
+_GOLDEN_BANK_FILES = {
+    "full": {
+        "bank.json": "86cf35501eb16f82e61b30a4ab700ac5c8a8aaeccd9d6aed785999e3c60a3e64",
+        "bank.weights.sv3d": "5cfcedee7538d7182d42e03295e73176496424840544d1d6da155f1e084e8adb",
+        "bank.bias.sv3d": _BIAS,
+        "bank.bn_scale.sv3d": _BN_SCALE,
+        "bank.bn_shift.sv3d": _BN_SHIFT,
+    },
+    "fwsc": {
+        "bank.json": "bcdb04c719a3f267c99f82ee09fdb5939787902f708468a637b814e95aa46259",
+        "bank.depthwise.sv3d": "1be14a037093376ccc88b243dd7dc1d239d128b12fc937bc05c4905ae95fb6b2",
+        "bank.pointwise.sv3d": _POINTWISE,
+        "bank.bias.sv3d": _BIAS,
+        "bank.bn_scale.sv3d": _BN_SCALE,
+        "bank.bn_shift.sv3d": _BN_SHIFT,
+    },
+    "dwsc": {
+        "bank.json": "d7785595a88e5948deb39f8ac55543c5d4145301766d03eb7714e5ce54f16809",
+        "bank.depthwise.sv3d": "7585467a31ee54f6379e5184cba7e27e4d5c3acc46b9c95dba0ee66b0a7e10a8",
+        "bank.pointwise.sv3d": "0c02bf4eba550dc37dea1e40bc2421d9e67368b8348693bdbf0d7e65f559650f",
+        "bank.bias.sv3d": "3afd8d907299e222fcc3e917f974b1a74d6556047247c2994f104a2a8c659462",
+        "bank.bn_scale.sv3d": "cd2e1930ae204e6b7a871a7731748947b46c8abf057e4b392f49d186df3da1cf",
+        "bank.bn_shift.sv3d": "485e0555b8d033a6b1eb852097eb1ead577ee8c8654b06c27efa2f9319307bd3",
+    },
+    "fdwsc": {
+        "bank.json": "8f09108f2d68aa1866811c9c4721e3e19672915f78f01267c7ed10d336ace3a2",
+        "bank.spatial.sv3d": "14b9d09874b3e41929ef6b4187b1b4bbe27481ef97db6982d6d2b7f9dcfc6227",
+        "bank.disparity.sv3d": "505db6ed6f08335cdccfb4fa6af9d937ecb80c637c1ba201a0bdf7ca7310ac22",
+        "bank.pointwise.sv3d": _POINTWISE,
+        "bank.bias.sv3d": _BIAS,
+        "bank.bn_scale.sv3d": _BN_SCALE,
+        "bank.bn_shift.sv3d": _BN_SHIFT,
+    },
+}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_saved_bank_bytes_are_pinned(tmp_path, variant):
+    dwsc = variant == "dwsc"
+    bank = KernelBank.random(
+        variant, 3, 2, 2 if dwsc else 3, d_in=(4 if dwsc else None),
+        seed=61, bias=True, bn=True,
+    )
+    save_bank(tmp_path / "bank.json", bank)
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert got == _GOLDEN_BANK_FILES[variant]
+
+
+def test_load_bank_rejects_array_file_with_wrong_extents(tmp_path):
+    bank = KernelBank.random("fwsc", 3, 2, 3, seed=62)
+    save_bank(tmp_path / "bank.json", bank)
+    # right element count, transposed extents
+    save_volume(
+        tmp_path / "bank.pointwise.sv3d",
+        Volume4(bank.arrays["pointwise"].T.reshape(2, 3, 1, 1)),
+    )
+    with pytest.raises(KernelError, match="pointwise"):
+        load_bank(tmp_path / "bank.json")
 
 
 def test_load_bank_rejects_malformed_sidecar(tmp_path):
