@@ -1,18 +1,26 @@
 """Closed-form parameter and MAC accounting for cost-volume layers.
 
 Counts are exact integers, derived layer by layer from the same shape
-rules the runtime kernels use.  Conventions:
+rules and the same stage list (``netcfg.stage_layout``) the runtime
+kernels use.  Conventions:
 
 * One MAC is one multiply plus one accumulate.  Window counts include
   taps that fall on "same" padding (a padded implementation executes
   them), so a stride-1 conv costs exactly k^3 window MACs per output
   site.
-* Strided conv layers are counted at their output extents: every MAC
-  the staged execution performs is attributed to the site it feeds.
-  The one subtlety is the two-axis variant ("fdwsc"): its spatial
-  stage runs before the disparity axis is subsampled, so that stage's
-  count uses the pre-stride disparity extent.  At stride 1 every
-  formula below collapses to the familiar per-site closed forms.
+* A conv3d layer's costs are read off its stage list.  An (a, b, c)
+  grid starts at the input's (d, h, w) extents ((c, h, w) for dwsc,
+  whose stages run on the (d, c, h, w) view) and is carried through the
+  stages in order; a stage with strides maps each axis n to
+  ceil(n / s).  Each stage bills prod(weight view) * prod(grid after
+  the stage) to the field its bank array names: "weights" to
+  ``macs_core``, "spatial" to ``macs_depthwise``, any other array to
+  ``macs_<array>``.  ``params_weights`` is the sum of the stored array
+  sizes.  So every MAC the staged execution performs is attributed to
+  the site it feeds, and fdwsc's spatial stage, which runs before the
+  disparity axis is subsampled, is billed at the pre-stride disparity
+  extent by stage order alone.  At stride 1 every count collapses to
+  the familiar per-site closed forms.
 * Transposed conv ("deconv3d") is counted at input extents with the
   structurally-zero taps of the upsampling skipped: one MAC per
   (input element, kernel tap) pair whose target lands inside the
@@ -29,18 +37,18 @@ rules the runtime kernels use.  Conventions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
 from .netcfg import (
-    KINDS,
-    VARIANTS,
-    ConfigError,
     LayerSpec,
     NetworkConfig,
     Shape4,
     infer_shapes,
     layer_output_shape,
+    out_extent,
+    stage_layout,
 )
 
 __all__ = [
@@ -121,22 +129,17 @@ def scatter_taps(n: int, k: int, stride: int) -> int:
     return total
 
 
+# the cost field each bank array's stage bills
+_FIELD = {"weights": "macs_core", "spatial": "macs_depthwise"}
+
+
 def count_layer(layer: LayerSpec, in_shape: Shape4) -> CostBreakdown:
     """Exact costs of one layer given its input extents."""
-    if layer.kind not in KINDS:
-        raise ConfigError(f"layer {layer.id!r}: unknown kind {layer.kind!r}")
-    if layer.variant not in VARIANTS:
-        raise ConfigError(f"layer {layer.id!r}: unknown variant {layer.variant!r}")
-    if layer.kind == "deconv3d" and layer.variant != "full":
-        raise ConfigError(f"layer {layer.id!r}: deconv3d layers support only the 'full' variant")
-    if layer.k < 1 or layer.stride < 1 or layer.out_channels < 1:
-        raise ConfigError(f"layer {layer.id!r}: k, stride and out_channels must be >= 1")
     out = layer_output_shape(layer, in_shape)
     ci = in_shape.c
     co = out.c
     k = layer.k
-    out_el = out.c * out.d * out.h * out.w
-    site = out.d * out.h * out.w  # strided output grid
+    out_el = out.numel
 
     kw = {}
     if layer.kind == "deconv3d":
@@ -148,32 +151,20 @@ def count_layer(layer: LayerSpec, in_shape: Shape4) -> CostBreakdown:
             * scatter_taps(in_shape.w, k, layer.stride)
         )
         kw["params_weights"] = k ** 3 * ci * co
-    elif layer.variant == "full":
-        kw["macs_core"] = site * k ** 3 * ci * co
-        kw["params_weights"] = k ** 3 * ci * co
-    elif layer.variant == "fwsc":
-        kw["macs_depthwise"] = site * k ** 3 * ci
-        kw["macs_pointwise"] = site * ci * co
-        kw["params_weights"] = k ** 3 * ci + ci * co
-    elif layer.variant == "dwsc":
-        if layer.out_channels != ci:
-            raise ConfigError(
-                f"layer {layer.id!r}: dwsc preserves the channel count; "
-                f"out_channels must equal {ci}, got {layer.out_channels}"
-            )
-        di = in_shape.d
-        do = out.d
-        kw["macs_depthwise"] = out.h * out.w * ci * k ** 3 * di
-        kw["macs_pointwise"] = out.h * out.w * ci * di * do
-        kw["params_weights"] = k ** 3 * di + di * do
-    elif layer.variant == "fdwsc":
-        # spatial stage runs at the full input disparity extent
-        kw["macs_depthwise"] = in_shape.d * out.h * out.w * k ** 2 * ci
-        kw["macs_disparity"] = site * k * ci
-        kw["macs_pointwise"] = site * ci * co
-        kw["params_weights"] = k ** 2 * ci + k * ci + ci * co
-    else:  # pragma: no cover - layer_output_shape validated the variant
-        raise ConfigError(f"layer {layer.id!r}: unknown variant {layer.variant!r}")
+    else:
+        # the (a, b, c) grid the stages sweep; dwsc's is on its (d, c, h, w) view
+        grid = tuple(in_shape[1:])
+        if layer.variant == "dwsc":
+            grid = (ci,) + grid[1:]
+        kw["params_weights"] = 0
+        for _, name, shape, view, strides in stage_layout(
+            layer.variant, k, ci, co, in_shape.d, out.d, layer.stride
+        ):
+            if strides is not None:
+                grid = tuple(out_extent(n, s) for n, s in zip(grid, strides))
+            field = _FIELD.get(name, f"macs_{name}")
+            kw[field] = kw.get(field, 0) + math.prod(view) * math.prod(grid)
+            kw["params_weights"] += math.prod(shape)
 
     if layer.bias:
         kw["params_bias"] = co
@@ -204,10 +195,7 @@ def count_network(cfg: NetworkConfig) -> NetworkCosts:
     rows = []
     total = CostBreakdown()
     for layer, (sin, sout) in zip(cfg.layers, infer_shapes(cfg)):
-        try:
-            cost = count_layer(layer, sin)
-        except (ConfigError, ValueError) as e:
-            raise ConfigError(f"layer {layer.id!r}: {e}") from e
+        cost = count_layer(layer, sin)
         rows.append(LayerCost(layer, sin, sout, cost))
         total = total + cost
     return NetworkCosts(name=cfg.name, layers=tuple(rows), total=total)

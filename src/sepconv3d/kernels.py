@@ -14,13 +14,14 @@ channel mix are factored:
 * ``fdwsc``  - per-channel k*k window over (h, w), per-channel length-k
                window over d, then a 1x1x1 channel mix.
 
-Each variant is written once, in ``_layout``, as an ordered list of
-stages: a "dense" window with its channel mix, a per-slice "window", or
-a 1x1x1 "mix", each naming the bank array it reads, that array's stored
-shape, the weight view the stage runs on, and the stage's strides.
-The forward, the backward, the bank's array shapes and the SV3D bank
-files all fold over that list; the backward runs the stages keeping
-each stage's input, then walks them in reverse.
+Each variant is written once, in the numpy-free ``netcfg.stage_layout``,
+as an ordered list of stages: a "dense" window with its channel mix, a
+per-slice "window", or a 1x1x1 "mix", each naming the bank array it
+reads, that array's stored shape, the weight view the stage runs on,
+and the stage's strides.  The forward, the backward, the bank's array
+shapes and the SV3D bank files here all fold over that list, and
+``costs`` bills it; the backward runs the stages keeping each stage's
+input, then walks them in reverse.
 
 There is also a transposed variant (``deconv3d_full``) that upsamples
 by the stride.  At stride s > 1 it runs as s**3 phase convolutions (the
@@ -57,7 +58,7 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .netcfg import VARIANTS, LayerSpec, layer_output_shape
+from .netcfg import VARIANTS, LayerSpec, layer_output_shape, out_extent, stage_layout
 from .volume import Shape4, Volume4, load_volume, save_volume, uniform_open
 
 __all__ = [
@@ -84,11 +85,6 @@ class KernelError(ValueError):
     """Raised on malformed banks or operator arguments."""
 
 
-def out_extent(n: int, stride: int) -> int:
-    """Output length of a same-padded strided window: ceil(n / stride)."""
-    return -(-n // stride)
-
-
 def _check_stride(stride: int) -> int:
     s = int(stride)
     if s < 1:
@@ -107,44 +103,10 @@ def _check_vec(name: str, v, length: int) -> Optional[np.ndarray]:
     return arr
 
 
-# ----------------------------------------------------------------------
-# stage lists
-# ----------------------------------------------------------------------
-
-
-def _layout(variant, k, c_in, c_out, d_in, d_out, s=1):
-    """Each conv variant once, as its stages in execution order.
-
-    A stage is (kind, bank array, stored shape, weight view, strides).
-    "dense" is a full window plus channel mix, with the view
-    (c_out, c_in, ka, kb, kc); "window" is a per-slice window with the
-    view (slices, ka, kb, kc); "mix" is a 1x1x1 product along axis 0.
-    dwsc's stages run on the (d, c, h, w) view, so its slices are
-    disparities.
-    """
-    if variant == "full":
-        w = (c_out, c_in, k, k, k)
-        return (("dense", "weights", w, w, (s, s, s)),)
-    if variant == "fdwsc":
-        return (
-            ("window", "spatial", (c_in, k, k), (c_in, 1, k, k), (1, s, s)),
-            ("window", "disparity", (c_in, k), (c_in, k, 1, 1), (s, 1, 1)),
-            ("mix", "pointwise", (c_out, c_in), (c_out, c_in), None),
-        )
-    if variant == "dwsc":
-        n, m, strides = d_in, d_out, (1, s, s)
-    else:
-        n, m, strides = c_in, c_out, (s, s, s)
-    return (
-        ("window", "depthwise", (n, k, k, k), (n, k, k, k), strides),
-        ("mix", "pointwise", (m, n), (m, n), None),
-    )
-
-
 def _array_shapes(variant, k, c_in, c_out, d_in, d_out) -> dict:
     """Stored shape of each bank array, in stage order."""
     return {
-        name: shape for _, name, shape, _, _ in _layout(variant, k, c_in, c_out, d_in, d_out)
+        name: shape for _, name, shape, _, _ in stage_layout(variant, k, c_in, c_out, d_in, d_out)
     }
 
 
@@ -318,7 +280,7 @@ class KernelBank:
 
 
 def _bank_layout(bank: KernelBank, s: int = 1):
-    return _layout(bank.variant, bank.k, bank.c_in, bank.c_out, bank.d_in, bank.d_out, s)
+    return stage_layout(bank.variant, bank.k, bank.c_in, bank.c_out, bank.d_in, bank.d_out, s)
 
 
 def _stages(bank: KernelBank, s: int):
@@ -772,7 +734,7 @@ def load_bank(path) -> KernelBank:
         return load_volume(os.path.join(base_dir, fname)).to_numpy().astype(np.float64)
 
     # arrays this variant does not have pass through for KernelBank to reject
-    layout = {name: (shape, view) for _, name, shape, view, _ in _layout(variant, *dims)}
+    layout = {name: (shape, view) for _, name, shape, view, _ in stage_layout(variant, *dims)}
     arrays = {}
     for name, fname in names.items():
         arr = _load(fname)

@@ -19,23 +19,32 @@ ordered list of layers that consume the previous layer's output.
     }
 
 Parsing is strict: unknown keys anywhere are an error, as are type or
-range violations, duplicate layer ids, non-"full" deconv layers, and
-channel-preserving violations for dwsc.  "adds_from" is bookkeeping for
-skip connections (it must name an earlier layer) and does not affect
-shapes or costs.  The optional "backbone" block records the fixed cost
-of everything outside this stack (2D feature extraction and matching),
-in raw MACs and raw parameter counts; it lets reports state this
-stack's share of whole-network cost.
+range violations, duplicate layer ids, non-"full" deconv layers, even
+kernel extents, and channel-preserving violations for dwsc.  A layer's
+own rules are checked in one place, ``layer_output_shape``, which shape
+inference, chain validation, the cost model and the kernels' shape
+query all call.  "adds_from" is bookkeeping for skip connections (it
+must name an earlier layer) and does not affect shapes or costs.  The
+optional "backbone" block records the fixed cost of everything outside
+this stack (2D feature extraction and matching), in raw MACs and raw
+parameter counts; it lets reports state this stack's share of
+whole-network cost.
+
+The stage list of each conv variant (``stage_layout``) also lives here:
+the kernels run it, and ``costs`` reads each conv3d layer's MACs and
+weight counts off it.
 
 This module is dependency-free on purpose: profiling a config must not
-pull in the numeric stack.  That is also why ``Shape4`` and ``VARIANTS``
-live here; ``volume`` re-exports ``Shape4`` and ``kernels`` ``VARIANTS``.
+pull in the numeric stack.  That is also why ``Shape4``, ``VARIANTS``,
+``out_extent`` and ``stage_layout`` live here; ``volume`` re-exports
+``Shape4`` and ``kernels`` ``VARIANTS`` and ``out_extent``.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from numbers import Integral
 from typing import NamedTuple, Optional
 
 __all__ = [
@@ -51,7 +60,9 @@ __all__ = [
     "infer_shapes",
     "layer_output_shape",
     "load_config",
+    "out_extent",
     "parse_config",
+    "stage_layout",
     "substitute_variant",
     "validate",
 ]
@@ -122,24 +133,76 @@ class NetworkConfig:
 # ----------------------------------------------------------------------
 
 
-def _ceil_div(n: int, s: int) -> int:
-    return -(-n // s)
+def out_extent(n: int, stride: int) -> int:
+    """Output length of a same-padded strided window: ceil(n / stride)."""
+    return -(-n // stride)
+
+
+def stage_layout(variant, k, c_in, c_out, d_in, d_out, s=1):
+    """Each conv variant once, as its stages in execution order.
+
+    A stage is (kind, bank array, stored shape, weight view, strides).
+    "dense" is a full window plus channel mix, with the view
+    (c_out, c_in, ka, kb, kc); "window" is a per-slice window with the
+    view (slices, ka, kb, kc); "mix" is a 1x1x1 product along axis 0.
+    dwsc's stages run on the (d, c, h, w) view, so its slices are
+    disparities.  The kernels run this list and ``costs`` bills it.
+    """
+    if variant == "full":
+        w = (c_out, c_in, k, k, k)
+        return (("dense", "weights", w, w, (s, s, s)),)
+    if variant == "fdwsc":
+        return (
+            ("window", "spatial", (c_in, k, k), (c_in, 1, k, k), (1, s, s)),
+            ("window", "disparity", (c_in, k), (c_in, k, 1, 1), (s, 1, 1)),
+            ("mix", "pointwise", (c_out, c_in), (c_out, c_in), None),
+        )
+    if variant == "dwsc":
+        n, m, strides = d_in, d_out, (1, s, s)
+    else:
+        n, m, strides = c_in, c_out, (s, s, s)
+    return (
+        ("window", "depthwise", (n, k, k, k), (n, k, k, k), strides),
+        ("mix", "pointwise", (m, n), (m, n), None),
+    )
 
 
 def layer_output_shape(layer: LayerSpec, in_shape: Shape4) -> Shape4:
     """Extents produced by one layer, from its input extents.
 
-    conv3d strides every (d, h, w) axis except under dwsc, where the
-    channel count passes through, d is preserved, and only h/w stride.
-    deconv3d multiplies every (d, h, w) axis by the stride.
+    This is where a layer's rules are checked against its input: kind,
+    variant, deconv3d only as "full", k, stride and out_channels
+    integers >= 1, k odd, and dwsc's channel preservation.  conv3d
+    strides every (d, h, w) axis except under dwsc, where the channel
+    count passes through, d is preserved, and only h/w stride.  deconv3d
+    multiplies every (d, h, w) axis by the stride.
     """
+    where = f"layer {layer.id!r}"
+    if layer.kind not in KINDS:
+        raise ConfigError(f"{where}: kind must be one of {list(KINDS)}, got {layer.kind!r}")
+    if layer.variant not in VARIANTS:
+        raise ConfigError(
+            f"{where}: variant must be one of {list(VARIANTS)}, got {layer.variant!r}"
+        )
+    if layer.kind == "deconv3d" and layer.variant != "full":
+        raise ConfigError(f"{where}: deconv3d layers support only the 'full' variant")
+    if not all(isinstance(v, Integral) and v >= 1
+               for v in (layer.k, layer.stride, layer.out_channels)):
+        raise ConfigError(f"{where}: k, stride and out_channels must be integers >= 1")
+    if layer.k % 2 == 0:
+        raise ConfigError(f"{where}: k must be odd, got {layer.k}")
     c, d, h, w = in_shape
     s = layer.stride
     if layer.kind == "deconv3d":
         return Shape4(layer.out_channels, d * s, h * s, w * s)
     if layer.variant == "dwsc":
-        return Shape4(c, d, _ceil_div(h, s), _ceil_div(w, s))
-    return Shape4(layer.out_channels, _ceil_div(d, s), _ceil_div(h, s), _ceil_div(w, s))
+        if layer.out_channels != c:
+            raise ConfigError(
+                f"{where}: dwsc preserves the channel count; "
+                f"out_channels must equal {c}, got {layer.out_channels}"
+            )
+        return Shape4(c, d, out_extent(h, s), out_extent(w, s))
+    return Shape4(layer.out_channels, out_extent(d, s), out_extent(h, s), out_extent(w, s))
 
 
 def infer_shapes(cfg: NetworkConfig):
@@ -215,23 +278,13 @@ def _parse_layer(obj, index: int) -> LayerSpec:
     _reject_unknown(obj, _LAYER_KEYS, where)
     lid = _need_str(obj, "id", where)
     where = f"layer {lid!r}"
-    kind = _need_str(obj, "kind", where)
-    if kind not in KINDS:
-        raise ConfigError(f"{where}: kind must be one of {list(KINDS)}, got {kind!r}")
-    variant = _need_str(obj, "variant", where)
-    if variant not in VARIANTS:
-        raise ConfigError(
-            f"{where}: variant must be one of {list(VARIANTS)}, got {variant!r}"
-        )
-    if kind == "deconv3d" and variant != "full":
-        raise ConfigError(f"{where}: deconv3d layers support only the 'full' variant")
     adds_from = obj.get("adds_from")
     if adds_from is not None and (not isinstance(adds_from, str) or not adds_from):
         raise ConfigError(f"{where}: 'adds_from' must be a layer id string")
     return LayerSpec(
         id=lid,
-        kind=kind,
-        variant=variant,
+        kind=_need_str(obj, "kind", where),
+        variant=_need_str(obj, "variant", where),
         k=_need_int(obj, "k", where),
         stride=_need_int(obj, "stride", where),
         out_channels=_need_int(obj, "out_channels", where),
@@ -288,12 +341,6 @@ def _validate_chain(cfg: NetworkConfig) -> None:
     for layer in cfg.layers:
         if layer.id in produced:
             raise ConfigError(f"duplicate layer id {layer.id!r}")
-        if layer.kind == "conv3d" and layer.variant == "dwsc":
-            if layer.out_channels != cur.c:
-                raise ConfigError(
-                    f"layer {layer.id!r}: dwsc preserves the channel count; "
-                    f"out_channels must equal {cur.c}, got {layer.out_channels}"
-                )
         cur = layer_output_shape(layer, cur)
         if layer.adds_from is not None:
             src = produced.get(layer.adds_from)

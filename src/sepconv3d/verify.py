@@ -655,9 +655,9 @@ def _grad_check(name: str, inputs: list) -> OracleReport:
         gout = Volume4(np.ones(tuple(y.dims)), copy=False)
         gin, grads = _k.backward(x, bank, gout, stride)
         fd = finite_diff_grad(x, bank, stride, step=1e-5)
-        worst_rel = max(worst_rel, _grad_rel(fd["input"], gin.array))
+        worst_rel = max(worst_rel, max_rel_err(fd["input"], gin.array, floor=1e-6))
         for gname, g in grads.items():
-            worst_rel = max(worst_rel, _grad_rel(fd[gname], g))
+            worst_rel = max(worst_rel, max_rel_err(fd[gname], g, floor=1e-6))
     return OracleReport(name, worst_rel, worst_rel, 1e-4,
                         worst_rel <= 1e-4, note="vs central differences")
 
@@ -688,11 +688,3 @@ def run_catalog(name_filter: Optional[str] = None, seeds: int = 8) -> list:
         inputs = _grad_inputs(grng, variant, max(seeds // 4, 2))
         cases.append((f"grad/{variant}", partial(_grad_check, inputs=inputs)))
     return [run(name) for name, run in cases if not name_filter or name_filter in name]
-
-
-def _grad_rel(fd: np.ndarray, an: np.ndarray) -> float:
-    """Relative error with an absolute floor so exact zeros compare cleanly."""
-    fd = np.asarray(fd, np.float64)
-    an = np.asarray(an, np.float64)
-    denom = np.maximum(np.maximum(np.abs(fd), np.abs(an)), 1e-6)
-    return float(np.max(np.abs(fd - an) / denom)) if fd.size else 0.0

@@ -162,6 +162,18 @@ def test_profile_rejects_unknown_config_key(capsys, tmp_path):
     assert "unknown key 'padding'" in err
 
 
+def test_profile_rejects_even_kernel_extent(capsys, tmp_path):
+    p = tmp_path / "even.json"
+    doc = json.loads(resources.files("sepconv3d.configs")
+                     .joinpath("ganet11-desk.json").read_text())
+    doc["layers"][1]["k"] = 4
+    p.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, "profile", "--config", str(p))
+    assert code == 1
+    assert f"layer {doc['layers'][1]['id']!r}: k must be odd, got 4" in err
+    assert out == ""
+
+
 def test_profile_missing_config_is_io_error(capsys, tmp_path):
     code, _, err = _run(capsys, "profile", "--config", str(tmp_path / "nope.json"))
     assert code == 2

@@ -1,7 +1,11 @@
 """Closed-form MAC/parameter accounting: golden examples, formula laws,
 network totals and reduction factors."""
 
+import dataclasses
+import hashlib
+import itertools
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -12,7 +16,15 @@ from sepconv3d.costs import (
     reduction_report,
     scatter_taps,
 )
-from sepconv3d.netcfg import ConfigError, LayerSpec, NetworkConfig
+from sepconv3d.netcfg import (
+    KINDS,
+    VARIANTS,
+    ConfigError,
+    LayerSpec,
+    NetworkConfig,
+    parse_config,
+    substitute_variant,
+)
 from sepconv3d.volume import Shape4
 
 
@@ -145,6 +157,18 @@ def test_deconv_rejects_separable_variants():
         count_layer(_spec("fwsc", kind="deconv3d"), SHAPE)
 
 
+@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize(
+    "variant, kind",
+    [(v, "conv3d") for v in ("full", "fwsc", "dwsc", "fdwsc")] + [("full", "deconv3d")],
+)
+def test_even_kernel_extent_rejected(variant, kind, k):
+    # every kernel rejects an even extent, so the cost model must not bill one
+    spec = _spec(variant, k=k, kind=kind, out_channels=SHAPE.c if variant == "dwsc" else 4)
+    with pytest.raises(ConfigError, match=f"layer '{spec.id}': k must be odd, got {k}"):
+        count_layer(spec, SHAPE)
+
+
 # ----------------------------------------------------------------------
 # formula laws
 # ----------------------------------------------------------------------
@@ -221,6 +245,27 @@ def test_count_network_names_offending_layer():
         count_network(bad)
 
 
+def test_count_network_names_offending_layer_once():
+    bad = NetworkConfig(
+        name="bad",
+        input=Shape4(4, 8, 10, 12),
+        layers=(LayerSpec("oops", "conv3d", "dwsc", 3, 1, 5, False, False),),
+    )
+    with pytest.raises(ConfigError) as err:
+        count_network(bad)
+    assert str(err.value).startswith("layer 'oops': dwsc preserves the channel count")
+    assert str(err.value).count("'oops'") == 1, str(err.value)
+
+
+@pytest.mark.parametrize("field, value", [("k", 3.0), ("stride", 0), ("out_channels", -1)])
+def test_count_network_rejects_bad_layer_fields(field, value):
+    layer = LayerSpec("bad", "conv3d", "full", 3, 1, 4, False, False)
+    cfg = NetworkConfig(name="n", input=Shape4(2, 4, 4, 4),
+                        layers=(dataclasses.replace(layer, **{field: value}),))
+    with pytest.raises(ConfigError, match="layer 'bad': k, stride and out_channels"):
+        count_network(cfg)
+
+
 def test_reduction_report():
     base = count_network(_mini_config()).total
     assert reduction_report(base, base) == {"ops": 1.0, "params": 1.0}
@@ -231,3 +276,53 @@ def test_reduction_report():
     assert rep["ops"] == pytest.approx(2.0, rel=1e-9)
     with pytest.raises(ValueError):
         reduction_report(base, CostBreakdown())
+
+
+# ----------------------------------------------------------------------
+# accounting contract
+# ----------------------------------------------------------------------
+
+# SHA-256 digests of the sweeps below, recorded from the per-variant
+# closed forms that preceded the stage-list fold.  Any change to a
+# single field of a single CostBreakdown changes them.
+_LAYER_SWEEP_SHA256 = "d46ae470e05ea6bf3fba16d3c45fabab9758733d7b584de80b50b19ae39944c7"
+_NETWORK_SWEEP_SHA256 = "9f30d5b4783e4769be77fc6319fe668543093efe00d4715be19a5b7364983920"
+
+# odd and even extents, and a single-disparity volume
+_SWEEP_SHAPES = (Shape4(3, 1, 5, 6), Shape4(3, 4, 7, 8), Shape4(2, 5, 6, 9))
+
+
+def _layer_sweep():
+    for kind, k, s, shape, bias, bn in itertools.product(
+        KINDS, (1, 3, 5), (1, 2, 3), _SWEEP_SHAPES, (False, True), (False, True)
+    ):
+        for variant in VARIANTS if kind == "conv3d" else ("full",):
+            co = shape.c if variant == "dwsc" else 4
+            yield LayerSpec("x", kind, variant, k, s, co, bias, bn), shape
+
+
+def _sha256(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_layer_costs_match_recorded_sweep():
+    lines = [repr(count_layer(spec, shape)) for spec, shape in _layer_sweep()]
+    assert len(lines) == 540
+    assert _sha256(lines) == _LAYER_SWEEP_SHA256
+
+
+def test_network_totals_match_recorded_sweep():
+    configs = resources.files("sepconv3d.configs")
+    names = sorted(p.name for p in configs.iterdir() if p.name.endswith(".json"))
+    assert len(names) == 6
+    lines = []
+    for name in names:
+        cfg = parse_config(configs.joinpath(name).read_text())
+        for variant in VARIANTS:
+            try:
+                total = repr(count_network(substitute_variant(cfg, variant)).total)
+            except ConfigError:  # dwsc cannot change the channel count
+                total = "ConfigError"
+            lines.append(f"{name} {variant} {total}")
+    assert sum(line.endswith("ConfigError") for line in lines) == 6
+    assert _sha256(lines) == _NETWORK_SWEEP_SHA256

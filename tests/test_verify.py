@@ -5,7 +5,7 @@ catalog — including mutation tests proving the catalog can fail."""
 import numpy as np
 import pytest
 
-from sepconv3d import costs, kernels, verify
+from sepconv3d import costs, kernels, netcfg, verify
 from sepconv3d.costs import CostBreakdown, count_layer, scatter_taps
 from sepconv3d.kernels import KernelBank, KernelError
 from sepconv3d.netcfg import LayerSpec
@@ -282,3 +282,23 @@ def test_catalog_detects_corrupted_backward(monkeypatch):
     monkeypatch.setattr(kernels, "backward", skewed)
     reports = run_catalog(name_filter="grad", seeds=2)
     assert reports and all(not r.passed for r in reports)
+
+
+def test_catalog_detects_swapped_fdwsc_strides(monkeypatch):
+    # the kernels and the cost model read one stage list, so a wrong
+    # stride in it must fail both the value and the MAC oracles
+    orig = netcfg.stage_layout
+    assert kernels.stage_layout is orig and costs.stage_layout is orig
+
+    def swapped(variant, k, c_in, c_out, d_in, d_out, s=1):
+        stages = orig(variant, k, c_in, c_out, d_in, d_out, s)
+        if variant != "fdwsc":
+            return stages
+        spatial, disparity, mix = stages
+        return (spatial[:4] + ((s, s, s),), disparity[:4] + ((1, 1, 1),), mix)
+
+    for mod in (kernels, costs):
+        monkeypatch.setattr(mod, "stage_layout", swapped)
+    for case in ("cost-oracle/closed-form-vs-loop", "composition/fdwsc-rank1-vs-fwsc"):
+        (r,) = run_catalog(name_filter=case)
+        assert not r.passed, str(r)
