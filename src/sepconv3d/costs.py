@@ -1,28 +1,30 @@
 """Closed-form parameter and MAC accounting for cost-volume layers.
 
-Counts are exact integers, derived layer by layer from the same shape
-rules and the same stage list (``netcfg.stage_layout``) the runtime
-kernels use.  Conventions:
+Counts are exact integers, derived layer by layer from the same stage
+list (``netcfg.layer_stages``) the runtime kernels run.  Conventions:
 
 * One MAC is one multiply plus one accumulate.  Window counts include
   taps that fall on "same" padding (a padded implementation executes
   them), so a stride-1 conv costs exactly k^3 window MACs per output
   site.
-* A conv3d layer's costs are read off its stage list.  An (a, b, c)
-  grid starts at the input's (d, h, w) extents ((c, h, w) for dwsc,
-  whose stages run on the (d, c, h, w) view) and is carried through the
-  stages in order; a stage with strides maps each axis n to
-  ceil(n / s).  Each stage bills prod(weight view) * prod(grid after
-  the stage) to the field its bank array names: "weights" to
+* A layer's costs are read off its stage list, through the same
+  ``netcfg.stage_sweep`` that gives its output shape.  The sweep carries
+  the layer's (n, a, b, c) extents through the stages: the input's
+  (c, d, h, w), or (d, c, h, w) for dwsc, whose stages run on that view.
+  Each stage is billed to the field its bank array names: "weights" to
   ``macs_core``, "spatial" to ``macs_depthwise``, any other array to
   ``macs_<array>``.  ``params_weights`` is the sum of the stored array
-  sizes.  So every MAC the staged execution performs is attributed to
-  the site it feeds, and fdwsc's spatial stage, which runs before the
+  sizes.
+* A dense, window or mix stage bills prod(weight view) * prod(grid after
+  the stage), where a stage with strides has mapped each axis x to
+  ceil(x / s).  So every MAC the staged execution performs is attributed
+  to the site it feeds, and fdwsc's spatial stage, which runs before the
   disparity axis is subsampled, is billed at the pre-stride disparity
   extent by stage order alone.  At stride 1 every count collapses to
   the familiar per-site closed forms.
-* Transposed conv ("deconv3d") is counted at input extents with the
-  structurally-zero taps of the upsampling skipped: one MAC per
+* A scatter stage (transposed conv, "deconv3d") is billed at its input
+  extents with the structurally-zero taps of the upsampling skipped:
+  c_in * c_out * prod(scatter_taps) over the input axes, one MAC per
   (input element, kernel tap) pair whose target lands inside the
   output.  That is what a scatter implementation executes; a counting
   rule based on the upsampled output extents would bill the inserted
@@ -41,15 +43,7 @@ import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
-from .netcfg import (
-    LayerSpec,
-    NetworkConfig,
-    Shape4,
-    infer_shapes,
-    layer_output_shape,
-    out_extent,
-    stage_layout,
-)
+from .netcfg import LayerSpec, NetworkConfig, Shape4, infer_shapes, same_pad, stage_sweep
 
 __all__ = [
     "CostBreakdown",
@@ -120,7 +114,7 @@ def scatter_taps(n: int, k: int, stride: int) -> int:
     Separability over axes makes the 3D count the product of the three
     per-axis values.
     """
-    p = (k - 1) // 2
+    p = same_pad(k)[0]
     total = 0
     for i in range(n):
         for a in range(k):
@@ -135,43 +129,23 @@ _FIELD = {"weights": "macs_core", "spatial": "macs_depthwise"}
 
 def count_layer(layer: LayerSpec, in_shape: Shape4) -> CostBreakdown:
     """Exact costs of one layer given its input extents."""
-    out = layer_output_shape(layer, in_shape)
-    ci = in_shape.c
-    co = out.c
-    k = layer.k
-    out_el = out.numel
-
-    kw = {}
-    if layer.kind == "deconv3d":
-        kw["macs_core"] = (
-            ci
-            * co
-            * scatter_taps(in_shape.d, k, layer.stride)
-            * scatter_taps(in_shape.h, k, layer.stride)
-            * scatter_taps(in_shape.w, k, layer.stride)
-        )
-        kw["params_weights"] = k ** 3 * ci * co
-    else:
-        # the (a, b, c) grid the stages sweep; dwsc's is on its (d, c, h, w) view
-        grid = tuple(in_shape[1:])
-        if layer.variant == "dwsc":
-            grid = (ci,) + grid[1:]
-        kw["params_weights"] = 0
-        for _, name, shape, view, strides in stage_layout(
-            layer.variant, k, ci, co, in_shape.d, out.d, layer.stride
-        ):
-            if strides is not None:
-                grid = tuple(out_extent(n, s) for n, s in zip(grid, strides))
-            field = _FIELD.get(name, f"macs_{name}")
-            kw[field] = kw.get(field, 0) + math.prod(view) * math.prod(grid)
-            kw["params_weights"] += math.prod(shape)
-
+    swept, out = stage_sweep(layer, in_shape)
+    kw = {"params_weights": 0}
+    for (kind, name, shape, view, strides), before, after in swept:
+        if kind == "scatter":
+            taps = (scatter_taps(n, view[2], s) for n, s in zip(before[1:], strides))
+            macs = view[0] * view[1] * math.prod(taps)
+        else:
+            macs = math.prod(view) * math.prod(after[1:])
+        field = _FIELD.get(name, f"macs_{name}")
+        kw[field] = kw.get(field, 0) + macs
+        kw["params_weights"] += math.prod(shape)
     if layer.bias:
-        kw["params_bias"] = co
-        kw["macs_bias"] = out_el
+        kw["params_bias"] = out.c
+        kw["macs_bias"] = out.numel
     if layer.bn:
-        kw["params_bn"] = 2 * co
-        kw["macs_bn"] = out_el
+        kw["params_bn"] = 2 * out.c
+        kw["macs_bn"] = out.numel
     return CostBreakdown(**kw)
 
 

@@ -23,27 +23,32 @@ shapes and the SV3D bank files here all fold over that list, and
 ``costs`` bills it; the backward runs the stages keeping each stage's
 input, then walks them in reverse.
 
-There is also a transposed variant (``deconv3d_full``) that upsamples
-by the stride.  At stride s > 1 it runs as s**3 phase convolutions (the
-sub-pixel view of a strided transposed conv), so the upsampling zeros
-are never multiplied: per axis it executes k*n taps, which is the billed
-``costs.scatter_taps`` plus the upper-edge taps that read zero padding
-(3n against 3n - 1 at k=3, s=2).  It is not a stage and has no backward.
+The transposed conv (``deconv3d_full``) upsamples by the stride.  Its
+stage list (``netcfg.layer_stages``) is the transpose of the "full"
+bank's single dense stage: one "scatter" stage, which ``deconv3d_full``
+runs through the same fold as ``forward``.  At stride s > 1 the scatter
+stage runs as s**3 phase convolutions (the sub-pixel view of a strided
+transposed conv), so the upsampling zeros are never multiplied: per
+axis it executes k*n taps, which is the billed ``costs.scatter_taps``
+plus the upper-edge taps that read zero padding (3n against 3n - 1 at
+k=3, s=2).  The backward has no scatter entry, so a deconv layer has
+no backward.
 
-All windows use zero "same" padding, so output extents are
-ceil(n / stride) along strided axes.  Kernel extents must be odd.
+All windows use zero "same" padding (``netcfg.same_pad``), so output
+extents are ceil(n / stride) along strided axes, and n * stride after a
+scatter stage.  Kernel extents must be odd.
 Partial sums always accumulate in float64; outputs are cast back to the
 input's storage dtype at the end.
 
 Engine rule: every window stage -- dense or per-slice -- runs as one
-einsum over a strided window view (a strided transposed conv: one
-einsum per output phase).  Taps are gathered in place, never
-packed into im2col-style buffers, so wall-time tracks the stage's
-multiply count and the benchmark compares layouts rather than copy
-machinery.  The dense stage works channels-last so the contraction
-streams the output-channel axis contiguously; per-slice stages window
-only their non-unit kernel axes.  1x1x1 mixes are plain matrix
-products.
+einsum over a strided window view (a scatter stage: one per output
+phase).  Taps are gathered in place, never packed into im2col-style
+buffers, so wall-time tracks the stage's multiply count and the
+benchmark compares layouts rather than copy machinery.  Dense and
+scatter stages share one channels-last dense-window engine, so the
+contraction streams the output-channel axis contiguously; per-slice
+stages window only their non-unit kernel axes.  1x1x1 mixes are plain
+matrix products.
 """
 
 from __future__ import annotations
@@ -53,12 +58,21 @@ import json
 import math
 import os
 from functools import partial
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .netcfg import VARIANTS, LayerSpec, layer_output_shape, out_extent, stage_layout
+from .netcfg import (
+    VARIANTS,
+    LayerSpec,
+    layer_output_shape,
+    layer_stages,
+    out_extent,
+    same_pad,
+    stage_layout,
+)
 from .volume import Shape4, Volume4, load_volume, save_volume, uniform_open
 
 __all__ = [
@@ -85,11 +99,11 @@ class KernelError(ValueError):
     """Raised on malformed banks or operator arguments."""
 
 
-def _check_stride(stride: int) -> int:
-    s = int(stride)
-    if s < 1:
-        raise KernelError(f"stride must be >= 1, got {stride}")
-    return s
+def _check_int(name: str, v) -> int:
+    """`v` as an int >= 1; a non-integral value is rejected, never truncated."""
+    if not isinstance(v, Integral) or v < 1:
+        raise KernelError(f"{name} must be an integer >= 1, got {v!r}")
+    return int(v)
 
 
 def _check_vec(name: str, v, length: int) -> Optional[np.ndarray]:
@@ -119,26 +133,20 @@ def _check_scalars(variant, k, c_in, c_out, d_in, d_out):
     """Validate and normalize the scalar fields shared by every bank."""
     if variant not in VARIANTS:
         raise KernelError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    k = int(k)
-    if k < 1 or k % 2 == 0:
-        raise KernelError(f"kernel extent must be odd and >= 1, got {k}")
-    if c_in < 1 or c_out < 1:
-        raise KernelError(f"channel counts must be >= 1, got c_in={c_in} c_out={c_out}")
+    if not isinstance(k, Integral) or k < 1 or k % 2 == 0:
+        raise KernelError(f"kernel extent must be an odd integer >= 1, got {k!r}")
+    c_in, c_out = _check_int("c_in", c_in), _check_int("c_out", c_out)
     if variant == "dwsc":
         if c_out != c_in:
             raise KernelError(
                 "dwsc preserves the channel count: "
                 f"c_out must equal c_in ({c_in}), got {c_out}"
             )
-        if d_in is None:
-            raise KernelError("dwsc banks require d_in")
-        d_out = d_in if d_out is None else int(d_out)
-        d_in = int(d_in)
-        if d_in < 1 or d_out < 1:
-            raise KernelError(f"disparity counts must be >= 1, got d_in={d_in} d_out={d_out}")
+        d_in = _check_int("d_in", d_in)
+        d_out = d_in if d_out is None else _check_int("d_out", d_out)
     else:
         d_in = d_out = None
-    return k, int(c_in), int(c_out), d_in, d_out
+    return int(k), c_in, c_out, d_in, d_out
 
 
 # seed offsets so every array draws from its own deterministic stream
@@ -279,15 +287,18 @@ class KernelBank:
         )
 
 
-def _bank_layout(bank: KernelBank, s: int = 1):
-    return stage_layout(bank.variant, bank.k, bank.c_in, bank.c_out, bank.d_in, bank.d_out, s)
+def _bank_layout(bank: KernelBank, s: int = 1, kind: str = "conv3d"):
+    return layer_stages(
+        kind, bank.variant, bank.k, bank.c_in, bank.c_out, bank.d_in, bank.d_out, s
+    )
 
 
-def _stages(bank: KernelBank, s: int):
-    """The bank's stages at stride s: (kind, array name, weight view, strides)."""
+def _stages(bank: KernelBank, s: int, kind: str = "conv3d"):
+    """The bank's stages at stride s in a `kind` layer: (stage kind,
+    array name, weight view, strides)."""
     return [
-        (kind, name, bank.arrays[name].reshape(view), strides)
-        for kind, name, _, view, strides in _bank_layout(bank, s)
+        (stage, name, bank.arrays[name].reshape(view), strides)
+        for stage, name, _, view, strides in _bank_layout(bank, s, kind)
     ]
 
 
@@ -298,9 +309,8 @@ def _stages(bank: KernelBank, s: int):
 
 def _pad_same(arr: np.ndarray, ks) -> np.ndarray:
     """Zero-pad the last three axes for windows of extent ks = (ka, kb, kc)."""
-    pads = [(0, 0)] + [((k - 1) // 2, k // 2) for k in ks]
-    if any(p != (0, 0) for p in pads[1:]):
-        arr = np.pad(arr, pads, mode="constant")
+    if max(ks) > 1:
+        arr = np.pad(arr, [(0, 0)] + [same_pad(k) for k in ks], mode="constant")
     return arr
 
 
@@ -329,67 +339,65 @@ def _depthwise_core(x: np.ndarray, w: np.ndarray, strides) -> np.ndarray:
     )
 
 
+def _dense_window(x: np.ndarray, wt: np.ndarray, pads, strides, out=None) -> np.ndarray:
+    """Dense window + channel mix, the one dense engine.
+
+    x: (ci, A, B, C) float64; wt: (ci, ka, kb, kc, co); pads: a (low,
+    high) zero pad per window axis.  Pads x into one channels-last copy,
+    then runs one einsum over a strided window view of it, so the
+    contraction's innermost axis (output channel) is contiguous in both
+    operands.  Returns the (A', B', C', co) result, written into `out`
+    when given.
+    """
+    xt = np.pad(np.moveaxis(x, 0, -1), list(pads) + [(0, 0)], mode="constant")
+    win = sliding_window_view(xt, wt.shape[1:4], axis=(0, 1, 2))
+    win = win[:: strides[0], :: strides[1], :: strides[2]]
+    return np.einsum("zyxiabc,iabco->zyxo", win, wt, out=out, optimize=False)
+
+
 def _conv_full_core(x: np.ndarray, w: np.ndarray, strides) -> np.ndarray:
     """Dense window + channel mix.
 
-    x: (ci, A, B, C) float64, unpadded; w: (co, ci, ka, kb, kc).  One
-    einsum over a strided window view, laid out channels-last so the
-    contraction's innermost axis (output channel) is contiguous in both
-    operands.
+    x: (ci, A, B, C) float64, unpadded; w: (co, ci, ka, kb, kc).
     """
-    co, ci, ka, kb, kc = w.shape
-    sa, sb, sc = strides
-    xt = np.ascontiguousarray(np.moveaxis(x, 0, -1))
-    pads = [((k - 1) // 2, k // 2) for k in (ka, kb, kc)]
-    if any(p != (0, 0) for p in pads):
-        xt = np.pad(xt, pads + [(0, 0)], mode="constant")
-    win = sliding_window_view(xt, (ka, kb, kc), axis=(0, 1, 2))
-    win = win[::sa, ::sb, ::sc]
     wt = np.ascontiguousarray(w.transpose(1, 2, 3, 4, 0))
-    out = np.einsum("zyxiabc,iabco->zyxo", win, wt, optimize=False)
+    out = _dense_window(x, wt, [same_pad(k) for k in w.shape[2:]], strides)
     return np.ascontiguousarray(np.moveaxis(out, -1, 0))
 
 
-def _deconv_phase_core(x: np.ndarray, wflip: np.ndarray, s: int) -> np.ndarray:
-    """Transposed dense conv at stride s, one einsum per output phase.
+def _deconv_phase_core(x: np.ndarray, w: np.ndarray, strides) -> np.ndarray:
+    """Transposed dense conv (a scatter stage), one dense window per
+    output phase.
 
-    x: (ci, A, B, C) float64, unpadded; wflip: (co, ci, k, k, k), the
-    tap-reversed kernel.  Along each axis, output s*q + r receives the
-    reversed taps f, f+s, f+2s, ... with f = (p - r) mod s and
-    p = (k-1)//2; they read the consecutive inputs q + o, q + o + 1, ...
-    with o = (r + f - p) / s.  Each phase is therefore a dense window over
-    the input (padded once, channels-last) with a strided sub-kernel,
-    written in place into a strided view of one channels-last output.
-    Phases that no tap reaches (k < s) are zero.  Per axis this executes
-    k*n taps, against s*n*k for a dense window over the zero-inserted grid.
+    x: (ci, A, B, C) float64, unpadded; w: (co, ci, k, k, k); strides
+    (s, s, s), the upsampling factor of every axis.  With the taps
+    reversed, output s*q + r along an axis receives the taps f, f+s,
+    f+2s, ... with f = (p - r) mod s and p the low same-pad; they read
+    the consecutive inputs q + o, q + o + 1, ... with o = (r + f - p) / s.
+    Each phase is therefore a dense window over the input, padded for
+    that phase, with a strided sub-kernel, written in place into a
+    strided view of one channels-last output.  Phases that no tap
+    reaches (k < s) are zero.  Per axis this executes k*n taps, against
+    s*n*k for a dense window over the zero-inserted grid.
     """
-    co, k = wflip.shape[0], wflip.shape[2]
-    p = (k - 1) // 2
+    co, k, s = w.shape[0], w.shape[2], strides[0]
+    p = same_pad(k)[0]
     first = [(p - r) % s for r in range(s)]
     offset = [(r + f - p) // s for r, f in enumerate(first)]
-    live = [r for r in range(s) if first[r] < k]
-    lo = max(0, -min(offset[r] for r in live))
-    hi = max(0, max(offset[r] + len(range(first[r], k, s)) - 1 for r in live))
-    xt = np.ascontiguousarray(np.moveaxis(x, 0, -1))
-    if lo or hi:
-        xt = np.pad(xt, [(lo, hi)] * 3 + [(0, 0)], mode="constant")
-    wt = wflip.transpose(1, 2, 3, 4, 0)
-    n = x.shape[1:]
-    out = np.empty(tuple(m * s for m in n) + (co,))
+    wt = w[:, :, ::-1, ::-1, ::-1].transpose(1, 2, 3, 4, 0)
+    out = np.empty(tuple(n * s for n in x.shape[1:]) + (co,))
     for r in itertools.product(range(s), repeat=3):
         dst = out[r[0]::s, r[1]::s, r[2]::s]
         if any(first[ra] >= k for ra in r):
             dst.fill(0.0)
             continue
-        f = [first[ra] for ra in r]
-        sub = np.ascontiguousarray(wt[:, f[0]::s, f[1]::s, f[2]::s])
-        m = sub.shape[1:4]
-        src = tuple(
-            slice(lo + offset[ra], lo + offset[ra] + na + ma - 1)
-            for ra, na, ma in zip(r, n, m)
-        )
-        win = sliding_window_view(xt[src], m, axis=(0, 1, 2))
-        np.einsum("zyxiabc,iabco->zyxo", win, sub, out=dst, optimize=False)
+        sub = np.ascontiguousarray(wt[:, first[r[0]]::s, first[r[1]]::s, first[r[2]]::s])
+        # output q reads inputs q + o .. q + o + m - 1; o + m - 1 >= 0 for
+        # every live phase, so the high pad is never negative
+        o = [offset[ra] for ra in r]
+        pads = [(max(0, -oa), oa + m - 1) for oa, m in zip(o, sub.shape[1:4])]
+        src = (slice(None),) + tuple(slice(max(0, oa), None) for oa in o)
+        _dense_window(x[src], sub, pads, (1, 1, 1), out=dst)
     return np.ascontiguousarray(np.moveaxis(out, -1, 0))
 
 
@@ -402,6 +410,7 @@ _STAGE_FWD = {
     "dense": _conv_full_core,
     "window": _depthwise_core,
     "mix": lambda h, w, strides: _pointwise_core(h, w),
+    "scatter": _deconv_phase_core,
 }
 
 
@@ -460,12 +469,17 @@ def _want_input(x: Volume4, bank: KernelBank) -> None:
 # ----------------------------------------------------------------------
 
 
+def _run(x: Volume4, bank: KernelBank, stages) -> Volume4:
+    """Fold x through `stages` on the bank's stage view, then apply the
+    per-channel affine."""
+    _want_input(x, bank)
+    z = _stage_view(_fold(_stage_view(_as_f64(x), bank), stages), bank)
+    return _finish(_affine_core(z, bank.bias, bank.bn_scale, bank.bn_shift), x)
+
+
 def forward(x: Volume4, bank: KernelBank, stride: int = 1) -> Volume4:
     """Run the bank's variant: its stages, then the per-channel affine."""
-    s = _check_stride(stride)
-    _want_input(x, bank)
-    z = _stage_view(_fold(_stage_view(_as_f64(x), bank), _stages(bank, s)), bank)
-    return _finish(_affine_core(z, bank.bias, bank.bn_scale, bank.bn_shift), x)
+    return _run(x, bank, _stages(bank, _check_int("stride", stride)))
 
 
 def conv3d_full(x: Volume4, bank: KernelBank, stride: int = 1) -> Volume4:
@@ -503,16 +517,14 @@ def deconv3d_full(x: Volume4, bank: KernelBank, stride: int = 1) -> Volume4:
     """Transposed dense 3D convolution; upsamples every (d, h, w) axis by
     the stride.  Output extents are (d*s, h*s, w*s).
 
-    Runs one dense window with the tap-reversed kernel per output phase
-    (see _deconv_phase_core), so the inserted upsampling zeros are never
+    Runs the bank's stage list as a deconv3d layer: one "scatter" stage,
+    a dense window with the tap-reversed kernel per output phase (see
+    _deconv_phase_core), so the inserted upsampling zeros are never
     multiplied.  Stride 1 has a single phase: the dense window itself.
     `backward` does not differentiate it."""
-    s = _check_stride(stride)
+    s = _check_int("stride", stride)
     _want(bank, "full")
-    _want_input(x, bank)
-    wflip = bank.arrays["weights"][:, :, ::-1, ::-1, ::-1]
-    z = _deconv_phase_core(_as_f64(x), wflip, s)
-    return _finish(_affine_core(z, bank.bias, bank.bn_scale, bank.bn_shift), x)
+    return _run(x, bank, _stages(bank, s, "deconv3d"))
 
 
 def scale_shift(x: Volume4, bias=None, scale=None, shift=None) -> Volume4:
@@ -534,7 +546,7 @@ def depthwise_cube(x: Volume4, weights, stride: int = 1) -> Volume4:
     `weights` has shape (c, k, k, k) with odd k.  Useful for composing
     the separable variants out of their stages.
     """
-    s = _check_stride(stride)
+    s = _check_int("stride", stride)
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 4 or w.shape[0] != x.c:
         raise KernelError(f"weights must be (c={x.c}, k, k, k), got {w.shape}")
@@ -554,7 +566,7 @@ def pointwise_mix(x: Volume4, weights) -> Volume4:
 def output_dims(variant: str, in_dims: Shape4, k: int, stride: int, c_out: int) -> Shape4:
     """Output extents of a conv op, without running it."""
     layer = LayerSpec(id="output_dims", kind="conv3d", variant=variant, k=k,
-                      stride=_check_stride(stride), out_channels=c_out, bias=False, bn=False)
+                      stride=_check_int("stride", stride), out_channels=c_out, bias=False, bn=False)
     return layer_output_shape(layer, in_dims)
 
 
@@ -611,7 +623,7 @@ _STAGE_BWD = {
 def _unpad(arr: np.ndarray, shape, ks) -> np.ndarray:
     sl = [slice(None)]
     for n, k in zip(shape[1:], ks):
-        lo = (k - 1) // 2
+        lo = same_pad(k)[0]
         sl.append(slice(lo, lo + n))
     return arr[tuple(sl)].copy()
 
@@ -644,7 +656,7 @@ def backward(x: Volume4, bank: KernelBank, grad_out: Volume4, stride: int = 1):
     holds one float64 array per bank array, plus "bias"/"bn_scale"/
     "bn_shift" when present.
     """
-    s = _check_stride(stride)
+    s = _check_int("stride", stride)
     _want_input(x, bank)
     g = np.asarray(grad_out.array, dtype=np.float64)
     stages = _stages(bank, s)
@@ -718,6 +730,8 @@ def load_bank(path) -> KernelBank:
             meta = json.load(f)
     except json.JSONDecodeError as e:
         raise KernelError(f"malformed bank sidecar {path}: {e}") from e
+    if not isinstance(meta, dict):
+        raise KernelError(f"bank sidecar {path} must hold a JSON object")
     try:
         variant = meta["op"]
         names = meta["arrays"]
@@ -727,10 +741,14 @@ def load_bank(path) -> KernelBank:
             variant, meta["k"], meta["in_channels"], meta["out_channels"],
             meta.get("disparity_in"), meta.get("disparity_out"),
         )
-    except (KeyError, TypeError) as e:
+    except KeyError as e:
         raise KernelError(f"bank sidecar {path} is missing field {e}") from e
+    if not isinstance(names, dict):
+        raise KernelError(f"bank sidecar {path}: 'arrays' must map array names to files")
 
     def _load(fname: str) -> np.ndarray:
+        if not isinstance(fname, str):
+            raise KernelError(f"bank sidecar {path}: file names must be strings, got {fname!r}")
         return load_volume(os.path.join(base_dir, fname)).to_numpy().astype(np.float64)
 
     # arrays this variant does not have pass through for KernelBank to reject

@@ -20,24 +20,27 @@ ordered list of layers that consume the previous layer's output.
 
 Parsing is strict: unknown keys anywhere are an error, as are type or
 range violations, duplicate layer ids, non-"full" deconv layers, even
-kernel extents, and channel-preserving violations for dwsc.  A layer's
-own rules are checked in one place, ``layer_output_shape``, which shape
-inference, chain validation, the cost model and the kernels' shape
-query all call.  "adds_from" is bookkeeping for skip connections (it
-must name an earlier layer) and does not affect shapes or costs.  The
-optional "backbone" block records the fixed cost of everything outside
-this stack (2D feature extraction and matching), in raw MACs and raw
-parameter counts; it lets reports state this stack's share of
-whole-network cost.
+kernel extents, and channel-preserving violations for dwsc.  "adds_from"
+is bookkeeping for skip connections (it must name an earlier layer) and
+does not affect shapes or costs.  The optional "backbone" block records
+the fixed cost of everything outside this stack (2D feature extraction
+and matching), in raw MACs and raw parameter counts; it lets reports
+state this stack's share of whole-network cost.
 
-The stage list of each conv variant (``stage_layout``) also lives here:
-the kernels run it, and ``costs`` reads each conv3d layer's MACs and
-weight counts off it.
+The stage list of each conv variant (``stage_layout``) also lives here,
+and ``layer_stages`` gives a deconv3d layer its own: one "scatter"
+stage, the transpose of the "full" dense stage.  The kernels run these
+lists.  ``stage_sweep`` is the one place a layer's rules are checked,
+and it carries the layer's extents through its stages; the output
+shape (``layer_output_shape``, which shape inference, chain
+validation and the kernels' shape query call) and the cost model's
+per-stage MACs are both read off that sweep, so each stride rule is
+written once.
 
 This module is dependency-free on purpose: profiling a config must not
 pull in the numeric stack.  That is also why ``Shape4``, ``VARIANTS``,
-``out_extent`` and ``stage_layout`` live here; ``volume`` re-exports
-``Shape4`` and ``kernels`` ``VARIANTS`` and ``out_extent``.
+``out_extent``, ``same_pad`` and the stage lists live here; ``volume``
+re-exports ``Shape4`` and ``kernels`` ``VARIANTS`` and ``out_extent``.
 """
 
 from __future__ import annotations
@@ -59,10 +62,13 @@ __all__ = [
     "dumps_config",
     "infer_shapes",
     "layer_output_shape",
+    "layer_stages",
     "load_config",
     "out_extent",
     "parse_config",
+    "same_pad",
     "stage_layout",
+    "stage_sweep",
     "substitute_variant",
     "validate",
 ]
@@ -138,6 +144,11 @@ def out_extent(n: int, stride: int) -> int:
     return -(-n // stride)
 
 
+def same_pad(k: int) -> tuple:
+    """(low, high) zero padding that centres a size-k window on every site."""
+    return (k - 1) // 2, k // 2
+
+
 def stage_layout(variant, k, c_in, c_out, d_in, d_out, s=1):
     """Each conv variant once, as its stages in execution order.
 
@@ -167,15 +178,35 @@ def stage_layout(variant, k, c_in, c_out, d_in, d_out, s=1):
     )
 
 
-def layer_output_shape(layer: LayerSpec, in_shape: Shape4) -> Shape4:
-    """Extents produced by one layer, from its input extents.
+def layer_stages(kind, variant, k, c_in, c_out, d_in, d_out, s=1):
+    """The stages of a `kind` layer; the other arguments are ``stage_layout``'s.
+
+    A deconv3d layer is the transpose of its "full" bank's single dense
+    stage: one "scatter" stage, with the same array and weight view,
+    that upsamples each axis by its stride.
+    """
+    stages = stage_layout(variant, k, c_in, c_out, d_in, d_out, s)
+    if kind == "deconv3d":
+        ((_, *rest),) = stages
+        return (("scatter", *rest),)
+    return stages
+
+
+def stage_sweep(layer: LayerSpec, in_shape: Shape4):
+    """Check a layer's rules, then carry its extents through its stages.
 
     This is where a layer's rules are checked against its input: kind,
     variant, deconv3d only as "full", k, stride and out_channels
-    integers >= 1, k odd, and dwsc's channel preservation.  conv3d
-    strides every (d, h, w) axis except under dwsc, where the channel
-    count passes through, d is preserved, and only h/w stride.  deconv3d
-    multiplies every (d, h, w) axis by the stride.
+    integers >= 1, k odd, and out_channels equal to the channel count
+    the stages produce (dwsc preserves it).  The extents (n, a, b, c)
+    start at the input's (c, d, h, w), or (d, c, h, w) for dwsc, whose
+    stages run on that view.  Each stage maps n to its weight view's
+    leading extent and each of a, b, c with its stride s: to ceil(x / s)
+    for a dense or window stage, to x * s for a scatter stage; a mix
+    leaves them.
+
+    Returns (swept, out): one (stage, extents before, extents after)
+    per stage, and the layer's output extents.
     """
     where = f"layer {layer.id!r}"
     if layer.kind not in KINDS:
@@ -191,18 +222,35 @@ def layer_output_shape(layer: LayerSpec, in_shape: Shape4) -> Shape4:
         raise ConfigError(f"{where}: k, stride and out_channels must be integers >= 1")
     if layer.k % 2 == 0:
         raise ConfigError(f"{where}: k must be odd, got {layer.k}")
-    c, d, h, w = in_shape
-    s = layer.stride
-    if layer.kind == "deconv3d":
-        return Shape4(layer.out_channels, d * s, h * s, w * s)
-    if layer.variant == "dwsc":
-        if layer.out_channels != c:
-            raise ConfigError(
-                f"{where}: dwsc preserves the channel count; "
-                f"out_channels must equal {c}, got {layer.out_channels}"
-            )
-        return Shape4(c, d, out_extent(h, s), out_extent(w, s))
-    return Shape4(layer.out_channels, out_extent(d, s), out_extent(h, s), out_extent(w, s))
+    # dwsc's (d, c, h, w) view; the swap is its own inverse
+    order = (1, 0, 2, 3) if layer.variant == "dwsc" else (0, 1, 2, 3)
+    ext = tuple(in_shape[i] for i in order)
+    c, d = in_shape[:2]
+    swept = []
+    for stage in layer_stages(layer.kind, layer.variant, layer.k, c, layer.out_channels,
+                              d, d, layer.stride):
+        kind, _, _, view, strides = stage
+        grid = ext[1:]
+        if kind == "scatter":
+            grid = tuple(x * s for x, s in zip(grid, strides))
+        elif strides is not None:
+            grid = tuple(out_extent(x, s) for x, s in zip(grid, strides))
+        after = (view[0],) + grid
+        swept.append((stage, ext, after))
+        ext = after
+    out = Shape4(*(ext[i] for i in order))
+    if out.c != layer.out_channels:
+        raise ConfigError(
+            f"{where}: {layer.variant} preserves the channel count; "
+            f"out_channels must equal {out.c}, got {layer.out_channels}"
+        )
+    return swept, out
+
+
+def layer_output_shape(layer: LayerSpec, in_shape: Shape4) -> Shape4:
+    """Extents produced by one layer, from its input extents: the last
+    extents of its ``stage_sweep``, which checks the layer's rules."""
+    return stage_sweep(layer, in_shape)[1]
 
 
 def infer_shapes(cfg: NetworkConfig):

@@ -365,23 +365,11 @@ def finite_diff_grad(
         base_vecs["bn_scale"] = bank.bn_scale.copy()
         base_vecs["bn_shift"] = bank.bn_shift.copy()
 
-    grads = {}
-
     xa = x.to_numpy()
-    gx = np.zeros_like(xa)
-    flat = xa.reshape(-1)
-    for j in range(flat.size):
-        keep = flat[j]
-        flat[j] = keep + step
-        up = loss_with(xa, base_arrays, base_vecs)
-        flat[j] = keep - step
-        dn = loss_with(xa, base_arrays, base_vecs)
-        flat[j] = keep
-        gx.reshape(-1)[j] = (up - dn) / (2.0 * step)
-    grads["input"] = gx
 
-    def _central(container: dict, name: str) -> np.ndarray:
-        arr = container[name]
+    def _central(arr: np.ndarray) -> np.ndarray:
+        """Central differences along each element of `arr`, an array the
+        loss reads, perturbed in place one element at a time."""
         g = np.zeros_like(arr)
         fl = arr.reshape(-1)
         gfl = g.reshape(-1)
@@ -395,10 +383,9 @@ def finite_diff_grad(
             gfl[j] = (up - dn) / (2.0 * step)
         return g
 
-    for name in base_arrays:
-        grads[name] = _central(base_arrays, name)
-    for name in base_vecs:
-        grads[name] = _central(base_vecs, name)
+    grads = {"input": _central(xa)}
+    for name, arr in {**base_arrays, **base_vecs}.items():
+        grads[name] = _central(arr)
     return grads
 
 

@@ -22,7 +22,7 @@ from typing import BinaryIO, Iterable
 
 import numpy as np
 
-from .netcfg import Shape4
+from .netcfg import Shape4, same_pad
 
 __all__ = [
     "Shape4",
@@ -209,14 +209,12 @@ class Volume4:
         """
         if k < 1:
             raise VolumeError(f"window size must be >= 1, got {k}")
-        lo = (k - 1) // 2
-        hi = k // 2
         pads = [(0, 0), (0, 0), (0, 0), (0, 0)]
         for ax in axes:
             i = _AXIS_BY_NAME.get(ax)
             if i is None or i == 0:
                 raise VolumeError(f"pad axis must be one of d/h/w, got {ax!r}")
-            pads[i] = (lo, hi)
+            pads[i] = same_pad(k)
         out = np.pad(self._arr, pads, mode="constant")
         return Volume4(out, copy=False)
 
@@ -274,6 +272,7 @@ _VERSION = 1
 _HEADER = struct.Struct("<4sBBH4Q")
 _CODE_FOR_DTYPE = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _DTYPE_FOR_CODE = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
+_READ_CHUNK = 1 << 24
 
 
 def write_sv3d(sink: BinaryIO, arr: np.ndarray) -> None:
@@ -308,7 +307,16 @@ def read_sv3d(source: BinaryIO) -> np.ndarray:
         raise VolumeIOError(f"extents must be >= 1, got {dims}")
     dt = _DTYPE_FOR_CODE[code]
     expect = c * d * h * w * dt.itemsize
-    payload = source.read(expect)
+    # read in bounded chunks: the header's byte count is not trusted until
+    # the bytes arrive, so a forged header cannot make us allocate it
+    chunks, got = [], 0
+    while got < expect:
+        chunk = source.read(min(expect - got, _READ_CHUNK))
+        if not chunk:
+            break
+        chunks.append(chunk)
+        got += len(chunk)
+    payload = b"".join(chunks)
     if len(payload) != expect:
         raise VolumeIOError(
             f"payload length mismatch: expected {expect} bytes, got {len(payload)}"

@@ -321,6 +321,39 @@ def test_apply_bad_stride(identity_setup, capsys):
     assert "stride" in err
 
 
+@pytest.mark.parametrize("edit, want", [
+    (lambda meta: {**meta, "arrays": []}, "'arrays' must map"),
+    (lambda meta: {**meta, "arrays": {"weights": 7}}, "file names must be strings"),
+    (lambda meta: [meta], "must hold a JSON object"),
+    (lambda meta: {**meta, "k": 1.5}, "got 1.5"),
+], ids=["arrays-not-object", "file-name-not-string", "sidecar-not-object", "fractional-k"])
+def test_apply_malformed_sidecar(identity_setup, capsys, edit, want):
+    vin, wpath, tmp = identity_setup
+    wpath.write_text(json.dumps(edit(json.loads(wpath.read_text()))))
+    code, _, err = _run(
+        capsys, "apply", "--op", "full", "--weights", str(wpath),
+        "--input", str(vin), "--output", str(tmp / "o.sv3d"),
+    )
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert want in err
+
+
+def test_apply_volume_header_claims_more_than_the_file(identity_setup, capsys, tmp_path):
+    _, wpath, tmp = identity_setup
+    # a 104-byte file whose header claims 2**20 extents per axis
+    raw = bytearray((tmp / "in.sv3d").read_bytes()[:104])
+    raw[8:40] = (1 << 20).to_bytes(8, "little") * 4
+    forged = tmp_path / "forged.sv3d"
+    forged.write_bytes(bytes(raw))
+    code, _, err = _run(
+        capsys, "apply", "--op", "full", "--weights", str(wpath),
+        "--input", str(forged), "--output", str(tmp / "o.sv3d"),
+    )
+    assert code == 2
+    assert "payload length" in err
+
+
 # ----------------------------------------------------------------------
 # bench
 # ----------------------------------------------------------------------

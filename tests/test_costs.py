@@ -22,6 +22,7 @@ from sepconv3d.netcfg import (
     ConfigError,
     LayerSpec,
     NetworkConfig,
+    layer_output_shape,
     parse_config,
     substitute_variant,
 )
@@ -309,6 +310,16 @@ def test_layer_costs_match_recorded_sweep():
     lines = [repr(count_layer(spec, shape)) for spec, shape in _layer_sweep()]
     assert len(lines) == 540
     assert _sha256(lines) == _LAYER_SWEEP_SHA256
+
+
+# recorded from the per-kind and per-variant shape formulas that
+# preceded the stage sweep
+_SHAPE_SWEEP_SHA256 = "504494d6093447a2479ff25f12420cd8c9267ba2064ecd1a1dcf0850632aef07"
+
+
+def test_layer_shapes_match_recorded_sweep():
+    lines = [repr(layer_output_shape(spec, shape)) for spec, shape in _layer_sweep()]
+    assert _sha256(lines) == _SHAPE_SWEEP_SHA256
 
 
 def test_network_totals_match_recorded_sweep():

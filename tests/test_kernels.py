@@ -497,6 +497,25 @@ def test_bank_validation_errors():
         )
 
 
+@pytest.mark.parametrize("field", ["k", "c_in", "c_out", "d_in", "d_out"])
+def test_bank_rejects_non_integral_scalars(field):
+    args = {"k": 3, "c_in": 2, "c_out": 2, "d_in": 4, "d_out": 4}
+    with pytest.raises(KernelError, match=f"got {args[field] + 0.5}"):
+        KernelBank.random("dwsc", seed=0, **{**args, field: args[field] + 0.5})
+    # numpy integers are integers
+    bank = KernelBank.random("dwsc", seed=0, **{**args, field: np.int64(args[field])})
+    assert (bank.k, bank.c_in, bank.c_out, bank.d_in, bank.d_out) == (3, 2, 2, 4, 4)
+
+
+def test_operators_reject_non_integral_stride():
+    x = Volume4.random((2, 3, 4, 5), seed=0)
+    bank = KernelBank.random("full", 3, 2, 2, seed=0)
+    for op in (forward, deconv3d_full):
+        with pytest.raises(KernelError, match="stride"):
+            op(x, bank, 2.7)
+    assert forward(x, bank, np.int32(2)).dims == Shape4(2, 2, 2, 3)
+
+
 def test_channel_mismatch_message_has_both_counts():
     bank = KernelBank.random("full", 3, 2, 4, seed=0)
     x = Volume4.zeros((3, 4, 4, 4))

@@ -6,9 +6,10 @@ from importlib import resources
 
 import pytest
 
-from sepconv3d import kernels
+from sepconv3d import kernels, netcfg
 from sepconv3d.netcfg import (
     ConfigError,
+    LayerSpec,
     NetworkConfig,
     config_to_dict,
     dumps_config,
@@ -379,3 +380,23 @@ def test_predicted_shapes_match_operators_ganet11_desk():
 
 def test_predicted_shapes_match_operators_psmnet_desk_fdwsc():
     _check_chain(substitute_variant(_shipped("psmnet-desk"), "fdwsc"))
+
+
+def test_predicted_shapes_follow_the_stage_list(monkeypatch):
+    # shapes are read off the stage list the kernels run, so a changed
+    # stride in the list moves the prediction and the operator together
+    orig = netcfg.stage_layout
+
+    def d_unstrided(variant, k, c_in, c_out, d_in, d_out, s=1):
+        stages = orig(variant, k, c_in, c_out, d_in, d_out, s)
+        if variant != "fwsc":
+            return stages
+        window, mix = stages
+        return (window[:4] + ((1, s, s),), mix)
+
+    for mod in (netcfg, kernels):
+        monkeypatch.setattr(mod, "stage_layout", d_unstrided)
+    layer = LayerSpec("w1", "conv3d", "fwsc", 3, 2, 4, False, False)
+    x = Volume4.random((2, 5, 6, 7), seed=3)
+    assert _run_layer(layer, x, 4).dims == Shape4(4, 5, 3, 4)
+    assert layer_output_shape(layer, x.dims) == Shape4(4, 5, 3, 4)

@@ -288,7 +288,7 @@ def test_catalog_detects_swapped_fdwsc_strides(monkeypatch):
     # the kernels and the cost model read one stage list, so a wrong
     # stride in it must fail both the value and the MAC oracles
     orig = netcfg.stage_layout
-    assert kernels.stage_layout is orig and costs.stage_layout is orig
+    assert kernels.stage_layout is orig
 
     def swapped(variant, k, c_in, c_out, d_in, d_out, s=1):
         stages = orig(variant, k, c_in, c_out, d_in, d_out, s)
@@ -297,7 +297,7 @@ def test_catalog_detects_swapped_fdwsc_strides(monkeypatch):
         spatial, disparity, mix = stages
         return (spatial[:4] + ((s, s, s),), disparity[:4] + ((1, 1, 1),), mix)
 
-    for mod in (kernels, costs):
+    for mod in (kernels, netcfg):
         monkeypatch.setattr(mod, "stage_layout", swapped)
     for case in ("cost-oracle/closed-form-vs-loop", "composition/fdwsc-rank1-vs-fwsc"):
         (r,) = run_catalog(name_filter=case)
