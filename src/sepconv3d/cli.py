@@ -353,6 +353,7 @@ def _cmd_bench(args) -> int:
 
         med = statistics.median(times)
         mad = statistics.median(abs(t - med) for t in times)
+        first = results[0]["median_s"] if results else med
         results.append({
             "op": op,
             "input": list(dims),
@@ -364,7 +365,9 @@ def _cmd_bench(args) -> int:
             "macs": macs,
             "median_s": round(med, 6),
             "mad_s": round(mad, 6),
-            "speedup_vs_first": round(results[0]["median_s"] / med, 2) if results else 1.0,
+            # the rates are None for a median below the timer's resolution
+            "speedup_vs_first": round(first / med, 2) if med > 0 else None,
+            "gmac_per_s": round(macs / med / 1e9, 3) if med > 0 else None,
             "times_s": [round(t, 6) for t in times],
         })
 
@@ -376,13 +379,18 @@ def _cmd_bench(args) -> int:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["op", "c", "d", "h", "w", "k", "out_channels", "threads",
                          "iters", "warmup", "macs", "median_s", "mad_s",
-                         "speedup_vs_first"])
+                         "speedup_vs_first", "gmac_per_s"])
         for r in results:
             writer.writerow([r["op"], *r["input"], r["k"], r["out_channels"],
                              r["threads"], r["iters"], r["warmup"], r["macs"],
                              f"{r['median_s']:.6f}", f"{r['mad_s']:.6f}",
-                             f"{r['speedup_vs_first']:.2f}"])
+                             _rate(r["speedup_vs_first"], ".2f"), _rate(r["gmac_per_s"], ".3f")])
     return EXIT_OK
+
+
+def _rate(value, spec: str) -> str:
+    """A CSV rate cell; empty where the rate is undefined."""
+    return "" if value is None else format(value, spec)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ reads, that array's stored shape, the weight view the stage runs on,
 and the stage's strides.  The forward, the backward, the bank's array
 shapes and the SV3D bank files here all fold over that list, and
 ``costs`` bills it; the backward runs the stages keeping each stage's
-input, then walks them in reverse.
+channels-last input, then walks them in reverse.
 
 The transposed conv (``deconv3d_full``) upsamples by the stride.  Its
 stage list (``netcfg.layer_stages``) is the transpose of the "full"
@@ -40,15 +40,20 @@ scatter stage.  Kernel extents must be odd.
 Partial sums always accumulate in float64; outputs are cast back to the
 input's storage dtype at the end.
 
-Engine rule: every window stage -- dense or per-slice -- runs as one
-einsum over a strided window view (a scatter stage: one per output
-phase).  Taps are gathered in place, never packed into im2col-style
-buffers, so wall-time tracks the stage's multiply count and the
-benchmark compares layouts rather than copy machinery.  Dense and
-scatter stages share one channels-last dense-window engine, so the
-contraction streams the output-channel axis contiguously; per-slice
-stages window only their non-unit kernel axes.  1x1x1 mixes are plain
-matrix products.
+Engine rule: every stage runs channels-last.  The fold views the layer
+input as (d, h, w, c) -- dwsc as (c, h, w, d), so its slices are
+disparities -- without copying it; each stage takes and returns an
+(A, B, C, n) array with the channel or slice axis last, and the fold
+makes one channels-first copy at the end, before the affine.  Every
+window stage -- dense or per-slice -- runs as one einsum over a
+strided window view (a scatter stage: one per output phase).  Taps are
+gathered in place, never packed into im2col-style buffers, so
+wall-time tracks the stage's multiply count and the benchmark compares
+layouts rather than copy machinery.  The contraction streams the
+channel (or slice) axis innermost, contiguous in both operands: dense
+and scatter stages share one dense-window engine, and per-slice stages
+window only their non-unit kernel axes.  1x1x1 mixes are plain matrix
+products over the flattened sites.
 """
 
 from __future__ import annotations
@@ -58,7 +63,6 @@ import json
 import math
 import os
 from functools import partial
-from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -67,6 +71,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .netcfg import (
     VARIANTS,
     LayerSpec,
+    is_int,
     layer_output_shape,
     layer_stages,
     out_extent,
@@ -100,8 +105,9 @@ class KernelError(ValueError):
 
 
 def _check_int(name: str, v) -> int:
-    """`v` as an int >= 1; a non-integral value is rejected, never truncated."""
-    if not isinstance(v, Integral) or v < 1:
+    """`v` as an int >= 1; a non-integral value or a bool is rejected,
+    never truncated."""
+    if not is_int(v) or v < 1:
         raise KernelError(f"{name} must be an integer >= 1, got {v!r}")
     return int(v)
 
@@ -133,7 +139,7 @@ def _check_scalars(variant, k, c_in, c_out, d_in, d_out):
     """Validate and normalize the scalar fields shared by every bank."""
     if variant not in VARIANTS:
         raise KernelError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    if not isinstance(k, Integral) or k < 1 or k % 2 == 0:
+    if not is_int(k) or k < 1 or k % 2 == 0:
         raise KernelError(f"kernel extent must be an odd integer >= 1, got {k!r}")
     c_in, c_out = _check_int("c_in", c_in), _check_int("c_out", c_out)
     if variant == "dwsc":
@@ -308,48 +314,45 @@ def _stages(bank: KernelBank, s: int, kind: str = "conv3d"):
 
 
 def _pad_same(arr: np.ndarray, ks) -> np.ndarray:
-    """Zero-pad the last three axes for windows of extent ks = (ka, kb, kc)."""
+    """Zero-pad the first three axes for windows of extent ks = (ka, kb,
+    kc).  Returns a fresh padded copy, or arr made contiguous when no axis
+    pads, so that a window einsum never inherits a strided view's layout."""
     if max(ks) > 1:
-        arr = np.pad(arr, [(0, 0)] + [same_pad(k) for k in ks], mode="constant")
-    return arr
+        return np.pad(arr, [same_pad(k) for k in ks] + [(0, 0)], mode="constant")
+    return np.ascontiguousarray(arr)
 
 
 def _depthwise_core(x: np.ndarray, w: np.ndarray, strides) -> np.ndarray:
     """Per-slice windowed MAC.
 
-    x: (n, A, B, C) float64, unpadded; w: (n, ka, kb, kc); strides
+    x: (A, B, C, n) float64, unpadded; w: (n, ka, kb, kc); strides
     (sa, sb, sc).  Slice i of the output only ever reads slice i of the
-    input.  One einsum over a strided window view; axes whose kernel
-    extent is 1 are left out of the window so the split-stage layouts
-    (k*k over h,w; k over d) gather exactly their own taps.
+    input.  One einsum over a strided window view, streaming the slice
+    axis innermost; axes whose kernel extent is 1 are left out of the
+    window so the split-stage layouts (k*k over h,w; k over d) gather
+    exactly their own taps.
     """
-    n = w.shape[0]
-    ks = w.shape[1:]
+    n, ks = w.shape[0], w.shape[1:]
     xp = _pad_same(x, ks)
-    axes = tuple(ax for ax, k in zip((1, 2, 3), ks) if k > 1)
+    axes = tuple(ax for ax, k in enumerate(ks) if k > 1)
     wins = tuple(k for k in ks if k > 1)
     labels = "".join(l for l, k in zip("abc", ks) if k > 1)
     win = sliding_window_view(xp, wins, axis=axes) if axes else xp
-    win = win[:, :: strides[0], :: strides[1], :: strides[2]]
-    return np.einsum(
-        f"nzyx{labels},n{labels}->nzyx",
-        win,
-        w.reshape((n,) + wins),
-        optimize=False,
-    )
+    win = win[:: strides[0], :: strides[1], :: strides[2]]
+    wt = np.ascontiguousarray(np.moveaxis(w.reshape((n,) + wins), 0, -1))
+    return np.einsum(f"zyxn{labels},{labels}n->zyxn", win, wt, optimize=False)
 
 
 def _dense_window(x: np.ndarray, wt: np.ndarray, pads, strides, out=None) -> np.ndarray:
     """Dense window + channel mix, the one dense engine.
 
-    x: (ci, A, B, C) float64; wt: (ci, ka, kb, kc, co); pads: a (low,
-    high) zero pad per window axis.  Pads x into one channels-last copy,
-    then runs one einsum over a strided window view of it, so the
-    contraction's innermost axis (output channel) is contiguous in both
-    operands.  Returns the (A', B', C', co) result, written into `out`
-    when given.
+    x: (A, B, C, ci) float64; wt: (ci, ka, kb, kc, co); pads: a (low,
+    high) zero pad per window axis.  Pads x into one copy, then runs one
+    einsum over a strided window view of it, so the contraction's
+    innermost axis (output channel) is contiguous in both operands.
+    Returns the (A', B', C', co) result, written into `out` when given.
     """
-    xt = np.pad(np.moveaxis(x, 0, -1), list(pads) + [(0, 0)], mode="constant")
+    xt = np.pad(x, list(pads) + [(0, 0)], mode="constant")
     win = sliding_window_view(xt, wt.shape[1:4], axis=(0, 1, 2))
     win = win[:: strides[0], :: strides[1], :: strides[2]]
     return np.einsum("zyxiabc,iabco->zyxo", win, wt, out=out, optimize=False)
@@ -358,25 +361,24 @@ def _dense_window(x: np.ndarray, wt: np.ndarray, pads, strides, out=None) -> np.
 def _conv_full_core(x: np.ndarray, w: np.ndarray, strides) -> np.ndarray:
     """Dense window + channel mix.
 
-    x: (ci, A, B, C) float64, unpadded; w: (co, ci, ka, kb, kc).
+    x: (A, B, C, ci) float64, unpadded; w: (co, ci, ka, kb, kc).
     """
     wt = np.ascontiguousarray(w.transpose(1, 2, 3, 4, 0))
-    out = _dense_window(x, wt, [same_pad(k) for k in w.shape[2:]], strides)
-    return np.ascontiguousarray(np.moveaxis(out, -1, 0))
+    return _dense_window(x, wt, [same_pad(k) for k in w.shape[2:]], strides)
 
 
 def _deconv_phase_core(x: np.ndarray, w: np.ndarray, strides) -> np.ndarray:
     """Transposed dense conv (a scatter stage), one dense window per
     output phase.
 
-    x: (ci, A, B, C) float64, unpadded; w: (co, ci, k, k, k); strides
+    x: (A, B, C, ci) float64, unpadded; w: (co, ci, k, k, k); strides
     (s, s, s), the upsampling factor of every axis.  With the taps
     reversed, output s*q + r along an axis receives the taps f, f+s,
     f+2s, ... with f = (p - r) mod s and p the low same-pad; they read
     the consecutive inputs q + o, q + o + 1, ... with o = (r + f - p) / s.
     Each phase is therefore a dense window over the input, padded for
     that phase, with a strided sub-kernel, written in place into a
-    strided view of one channels-last output.  Phases that no tap
+    strided view of one (A*s, B*s, C*s, co) output.  Phases that no tap
     reaches (k < s) are zero.  Per axis this executes k*n taps, against
     s*n*k for a dense window over the zero-inserted grid.
     """
@@ -385,7 +387,7 @@ def _deconv_phase_core(x: np.ndarray, w: np.ndarray, strides) -> np.ndarray:
     first = [(p - r) % s for r in range(s)]
     offset = [(r + f - p) // s for r, f in enumerate(first)]
     wt = w[:, :, ::-1, ::-1, ::-1].transpose(1, 2, 3, 4, 0)
-    out = np.empty(tuple(n * s for n in x.shape[1:]) + (co,))
+    out = np.empty(tuple(n * s for n in x.shape[:3]) + (co,))
     for r in itertools.product(range(s), repeat=3):
         dst = out[r[0]::s, r[1]::s, r[2]::s]
         if any(first[ra] >= k for ra in r):
@@ -396,38 +398,54 @@ def _deconv_phase_core(x: np.ndarray, w: np.ndarray, strides) -> np.ndarray:
         # every live phase, so the high pad is never negative
         o = [offset[ra] for ra in r]
         pads = [(max(0, -oa), oa + m - 1) for oa, m in zip(o, sub.shape[1:4])]
-        src = (slice(None),) + tuple(slice(max(0, oa), None) for oa in o)
+        src = tuple(slice(max(0, oa), None) for oa in o)
         _dense_window(x[src], sub, pads, (1, 1, 1), out=dst)
-    return np.ascontiguousarray(np.moveaxis(out, -1, 0))
+    return out
 
 
-def _pointwise_core(x: np.ndarray, pw: np.ndarray) -> np.ndarray:
-    """1x1x1 mix along axis 0: x (n_in, ...) -> (n_out, ...)."""
-    return np.tensordot(pw, x, axes=([1], [0]))
+def _pointwise_core(x: np.ndarray, pw: np.ndarray, strides=None) -> np.ndarray:
+    """1x1x1 mix along the last axis: x (A, B, C, n_in) -> (A, B, C, n_out).
+
+    One matrix product over the sites, flattened C-contiguous (a copy
+    unless x already is), so the rounding does not depend on x's layout.
+    """
+    sites = np.ascontiguousarray(x.reshape(-1, x.shape[-1]))
+    return (sites @ pw.T).reshape(x.shape[:-1] + pw.shape[:1])
 
 
 _STAGE_FWD = {
     "dense": _conv_full_core,
     "window": _depthwise_core,
-    "mix": lambda h, w, strides: _pointwise_core(h, w),
+    "mix": _pointwise_core,
     "scatter": _deconv_phase_core,
 }
 
 
-def _fold(h: np.ndarray, stages, inputs: Optional[list] = None) -> np.ndarray:
-    """Run `stages` over h; appends each stage's input to `inputs` if given."""
+_CHANNELS_LAST = (1, 2, 3, 0)
+
+
+def _stage_order(bank: KernelBank):
+    """Axis order of the bank's channels-last stage view: (d, h, w, c), or
+    (c, h, w, d) for dwsc, whose stages slice disparities."""
+    return (0, 2, 3, 1) if bank.variant == "dwsc" else _CHANNELS_LAST
+
+
+def _channels_first(h: np.ndarray, order) -> np.ndarray:
+    """Undo the stage view `order` into one C-contiguous copy."""
+    return np.ascontiguousarray(h.transpose(np.argsort(order)))
+
+
+def _fold(x: np.ndarray, stages, order, inputs: Optional[list] = None) -> np.ndarray:
+    """Run `stages` over the channels-last view x.transpose(order); appends
+    each stage's input to `inputs` if given.  Returns the result as one
+    channels-first array that the caller owns.  `x` stays referenced
+    until that exit copy is made."""
+    h = x.transpose(order)
     for kind, _, w, strides in stages:
         if inputs is not None:
             inputs.append(h)
         h = _STAGE_FWD[kind](h, w, strides)
-    return h
-
-
-def _stage_view(arr: np.ndarray, bank: KernelBank) -> np.ndarray:
-    """dwsc's stages run on the (d, c, h, w) view; the swap is its own inverse."""
-    if bank.variant == "dwsc":
-        return np.ascontiguousarray(arr.transpose(1, 0, 2, 3))
-    return arr
+    return _channels_first(h, order)
 
 
 def _affine_core(z: np.ndarray, bias, scale, shift) -> np.ndarray:
@@ -473,7 +491,7 @@ def _run(x: Volume4, bank: KernelBank, stages) -> Volume4:
     """Fold x through `stages` on the bank's stage view, then apply the
     per-channel affine."""
     _want_input(x, bank)
-    z = _stage_view(_fold(_stage_view(_as_f64(x), bank), stages), bank)
+    z = _fold(_as_f64(x), stages, _stage_order(bank))
     return _finish(_affine_core(z, bank.bias, bank.bn_scale, bank.bn_shift), x)
 
 
@@ -552,7 +570,7 @@ def depthwise_cube(x: Volume4, weights, stride: int = 1) -> Volume4:
         raise KernelError(f"weights must be (c={x.c}, k, k, k), got {w.shape}")
     if len({w.shape[1], w.shape[2], w.shape[3]}) != 1 or w.shape[1] % 2 == 0:
         raise KernelError(f"window must be cubic with odd extent, got {w.shape[1:]}")
-    return _finish(_depthwise_core(_as_f64(x), w, (s, s, s)), x)
+    return _finish(_fold(_as_f64(x), [("window", None, w, (s, s, s))], _CHANNELS_LAST), x)
 
 
 def pointwise_mix(x: Volume4, weights) -> Volume4:
@@ -560,7 +578,7 @@ def pointwise_mix(x: Volume4, weights) -> Volume4:
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 2 or w.shape[1] != x.c:
         raise KernelError(f"weights must be (c_out, c_in={x.c}), got {w.shape}")
-    return _finish(_pointwise_core(_as_f64(x), w), x)
+    return _finish(_fold(_as_f64(x), [("mix", None, w, None)], _CHANNELS_LAST), x)
 
 
 def output_dims(variant: str, in_dims: Shape4, k: int, stride: int, c_out: int) -> Shape4:
@@ -584,11 +602,11 @@ def _window_bwd(x: np.ndarray, w: np.ndarray, strides, gz: np.ndarray, tap):
     """
     ks = w.shape[-3:]
     xp = _pad_same(x, ks)
-    n = [m - k + 1 for m, k in zip(xp.shape[1:], ks)]
+    n = [m - k + 1 for m, k in zip(xp.shape, ks)]
     gxp = np.zeros_like(xp)
     gw = np.zeros_like(w)
     for t in itertools.product(*map(range, ks)):
-        sl = (slice(None),) + tuple(slice(a, a + m, s) for a, m, s in zip(t, n, strides))
+        sl = tuple(slice(a, a + m, s) for a, m, s in zip(t, n, strides))
         wt = (Ellipsis,) + t
         gw[wt], gx = tap(xp[sl], w[wt], gz)
         gxp[sl] += gx
@@ -596,21 +614,15 @@ def _window_bwd(x: np.ndarray, w: np.ndarray, strides, gz: np.ndarray, tap):
 
 
 def _dense_tap(xs: np.ndarray, wt: np.ndarray, gz: np.ndarray):
-    return (
-        np.tensordot(gz, xs, axes=([1, 2, 3], [1, 2, 3])),
-        np.tensordot(wt, gz, axes=([0], [0])),
-    )
+    return np.tensordot(gz, xs, axes=([0, 1, 2], [0, 1, 2])), gz @ wt
 
 
 def _slice_tap(xs: np.ndarray, wt: np.ndarray, gz: np.ndarray):
-    return np.einsum("nzyx,nzyx->n", gz, xs), wt[:, None, None, None] * gz
+    return np.einsum("zyxn,zyxn->n", gz, xs), gz * wt
 
 
 def _pointwise_bwd(h: np.ndarray, pw: np.ndarray, strides, gz: np.ndarray):
-    return (
-        np.tensordot(pw, gz, axes=([0], [0])),
-        np.tensordot(gz, h, axes=([1, 2, 3], [1, 2, 3])),
-    )
+    return _pointwise_core(gz, pw.T), np.tensordot(gz, h, axes=([0, 1, 2], [0, 1, 2]))
 
 
 _STAGE_BWD = {
@@ -621,8 +633,8 @@ _STAGE_BWD = {
 
 
 def _unpad(arr: np.ndarray, shape, ks) -> np.ndarray:
-    sl = [slice(None)]
-    for n, k in zip(shape[1:], ks):
+    sl = []
+    for n, k in zip(shape, ks):
         lo = same_pad(k)[0]
         sl.append(slice(lo, lo + n))
     return arr[tuple(sl)].copy()
@@ -660,18 +672,19 @@ def backward(x: Volume4, bank: KernelBank, grad_out: Volume4, stride: int = 1):
     _want_input(x, bank)
     g = np.asarray(grad_out.array, dtype=np.float64)
     stages = _stages(bank, s)
+    order = _stage_order(bank)
     inputs = []
-    z = _stage_view(_fold(_stage_view(_as_f64(x), bank), stages, inputs), bank)
+    z = _fold(_as_f64(x), stages, order, inputs)
     if g.shape != z.shape:
         raise KernelError(f"grad_out shape {g.shape} does not match forward output {z.shape}")
     g, extras = _affine_bwd(z, bank, g)
-    g = _stage_view(g, bank)
+    g = g.transpose(order)
     grads = {}
     for kind, name, w, strides in reversed(stages):
         g, grads[name] = _STAGE_BWD[kind](inputs.pop(), w, strides, g)
     grads = {name: grads[name].reshape(arr.shape) for name, arr in bank.arrays.items()}
     grads.update(extras)
-    return Volume4(_stage_view(g, bank), copy=False), grads
+    return Volume4(_channels_first(g, order), copy=False), grads
 
 
 # ----------------------------------------------------------------------

@@ -61,6 +61,7 @@ __all__ = [
     "config_to_dict",
     "dumps_config",
     "infer_shapes",
+    "is_int",
     "layer_output_shape",
     "layer_stages",
     "load_config",
@@ -137,6 +138,11 @@ class NetworkConfig:
 # ----------------------------------------------------------------------
 # shape propagation
 # ----------------------------------------------------------------------
+
+
+def is_int(v) -> bool:
+    """True for an integer, numpy integers included, but not a bool."""
+    return isinstance(v, Integral) and not isinstance(v, bool)
 
 
 def out_extent(n: int, stride: int) -> int:
@@ -217,8 +223,7 @@ def stage_sweep(layer: LayerSpec, in_shape: Shape4):
         )
     if layer.kind == "deconv3d" and layer.variant != "full":
         raise ConfigError(f"{where}: deconv3d layers support only the 'full' variant")
-    if not all(isinstance(v, Integral) and v >= 1
-               for v in (layer.k, layer.stride, layer.out_channels)):
+    if not all(is_int(v) and v >= 1 for v in (layer.k, layer.stride, layer.out_channels)):
         raise ConfigError(f"{where}: k, stride and out_channels must be integers >= 1")
     if layer.k % 2 == 0:
         raise ConfigError(f"{where}: k must be odd, got {layer.k}")

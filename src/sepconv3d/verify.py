@@ -329,17 +329,21 @@ def finite_diff_grad(
     bank: KernelBank,
     stride: int = 1,
     step: float = 1e-5,
+    grad_out: Optional[Volume4] = None,
 ) -> dict:
-    """Central differences of loss = sum(forward(x)) w.r.t. everything.
+    """Central differences of loss = vdot(grad_out, forward(x)) w.r.t.
+    everything; without `grad_out`, of loss = sum(forward(x)).
 
-    Returns {"input": array like x} plus one entry per bank array and
-    per present bias/BN vector.  Requires float64 input; step must lie
-    in [1e-7, 1e-3].
+    These are the gradients `backward` returns for that `grad_out`
+    (ones when absent).  Returns {"input": array like x} plus one entry
+    per bank array and per present bias/BN vector.  Requires float64
+    input; step must lie in [1e-7, 1e-3].
     """
     if x.dtype != np.float64:
         raise KernelError(f"finite differences require float64 input, got {x.dtype}")
     if not (1e-7 <= step <= 1e-3):
         raise KernelError(f"step must be within [1e-7, 1e-3], got {step}")
+    g = None if grad_out is None else np.asarray(grad_out.array, dtype=np.float64)
 
     def loss_with(xa: np.ndarray, arrays: dict, vecs: dict) -> float:
         b = KernelBank(
@@ -354,8 +358,12 @@ def finite_diff_grad(
             bn_scale=vecs.get("bn_scale"),
             bn_shift=vecs.get("bn_shift"),
         )
-        y = _k.forward(Volume4(xa, copy=False), b, stride)
-        return float(np.sum(y.array, dtype=np.float64))
+        y = _k.forward(Volume4(xa, copy=False), b, stride).array
+        if g is None:
+            return float(np.sum(y, dtype=np.float64))
+        if g.shape != y.shape:
+            raise KernelError(f"grad_out shape {g.shape} does not match forward output {y.shape}")
+        return float(np.vdot(g, y))
 
     base_arrays = {n: a.copy() for n, a in bank.arrays.items()}
     base_vecs = {}
@@ -615,7 +623,8 @@ def _deconv_layers(seeds: int):
 
 
 def _grad_inputs(grng, variant: str, reps: int) -> list:
-    """(x, bank, stride) of one variant's gradient checks."""
+    """(x, bank, stride, seed of the upstream gradient) of one variant's
+    gradient checks."""
     inputs = []
     for _ in range(reps):
         k = int(grng.choice([1, 3]))
@@ -630,18 +639,20 @@ def _grad_inputs(grng, variant: str, reps: int) -> list:
         )
         x = Volume4.random((ci, d, h, w), seed=int(grng.integers(0, 2 ** 31)),
                            dtype=np.float64)
-        inputs.append((x, bank, stride))
+        inputs.append((x, bank, stride, int(grng.integers(0, 2 ** 31))))
     return inputs
 
 
 def _grad_check(name: str, inputs: list) -> OracleReport:
-    """Analytic backward against central differences."""
+    """Analytic backward against central differences, from a seeded
+    random upstream gradient, so that a backward which moves the
+    upstream gradient to the wrong sites fails."""
     worst_rel = 0.0
-    for x, bank, stride in inputs:
+    for x, bank, stride, gseed in inputs:
         y = _k.forward(x, bank, stride)
-        gout = Volume4(np.ones(tuple(y.dims)), copy=False)
+        gout = Volume4.random(y.dims, seed=gseed, dtype=np.float64)
         gin, grads = _k.backward(x, bank, gout, stride)
-        fd = finite_diff_grad(x, bank, stride, step=1e-5)
+        fd = finite_diff_grad(x, bank, stride, step=1e-5, grad_out=gout)
         worst_rel = max(worst_rel, max_rel_err(fd["input"], gin.array, floor=1e-6))
         for gname, g in grads.items():
             worst_rel = max(worst_rel, max_rel_err(fd[gname], g, floor=1e-6))

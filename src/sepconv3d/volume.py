@@ -22,7 +22,7 @@ from typing import BinaryIO, Iterable
 
 import numpy as np
 
-from .netcfg import Shape4, same_pad
+from .netcfg import Shape4, is_int, same_pad
 
 __all__ = [
     "Shape4",
@@ -207,8 +207,8 @@ class Volume4:
         requested axes (a subset of d, h, w; the channel axis is never
         padded).
         """
-        if k < 1:
-            raise VolumeError(f"window size must be >= 1, got {k}")
+        if not is_int(k) or k < 1:
+            raise VolumeError(f"window size must be an integer >= 1, got {k!r}")
         pads = [(0, 0), (0, 0), (0, 0), (0, 0)]
         for ax in axes:
             i = _AXIS_BY_NAME.get(ax)

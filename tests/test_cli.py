@@ -459,3 +459,53 @@ def test_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
     out = capsys.readouterr().out
     assert "profile" in out and "bench" in out
+
+
+def test_apply_rejects_bool_k_in_sidecar(identity_setup, capsys):
+    # JSON true is not an integer, though Python's bool is an int
+    vin, wpath, tmp = identity_setup
+    wpath.write_text(json.dumps({**json.loads(wpath.read_text()), "k": True}))
+    code, _, err = _run(
+        capsys, "apply", "--op", "full", "--weights", str(wpath),
+        "--input", str(vin), "--output", str(tmp / "o.sv3d"),
+    )
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "got True" in err
+    assert not (tmp / "o.sv3d").exists()
+
+
+def test_bench_reports_gmac_per_s(capsys):
+    rep = _run_json(
+        capsys, "bench", "--op", "fwsc", "--size", "2x3x4x5",
+        "--iters", "3", "--warmup", "1", "--format", "json",
+    )
+    (row,) = rep["results"]
+    # both figures are rounded, gmac_per_s to 3 decimals and median_s to 1 us
+    want = row["macs"] / row["median_s"] / 1e9
+    assert row["gmac_per_s"] == pytest.approx(want, rel=0.05, abs=2e-3)
+    code, out, _ = _run(
+        capsys, "bench", "--compare", "full,fwsc", "--size", "2x3x4x5",
+        "--iters", "3", "--warmup", "1",
+    )
+    rows = list(csv.reader(io.StringIO(out)))
+    assert code == 0 and rows[0][-1] == "gmac_per_s"
+    for r in rows[1:]:
+        assert len(r) == 15 and float(r[14]) > 0.0
+
+
+def test_bench_zero_median_has_no_rates(capsys, monkeypatch):
+    # a clock that does not advance gives every op a zero median
+    monkeypatch.setattr(cli.time, "perf_counter", lambda: 1.0)
+    rep = _run_json(
+        capsys, "bench", "--compare", "full,fwsc", "--size", "2x3x4x5",
+        "--iters", "3", "--warmup", "1", "--format", "json",
+    )
+    for row in rep["results"]:
+        assert row["speedup_vs_first"] is None and row["gmac_per_s"] is None
+    code, out, _ = _run(
+        capsys, "bench", "--compare", "full,fwsc", "--size", "2x3x4x5",
+        "--iters", "3", "--warmup", "1",
+    )
+    assert code == 0
+    assert [r[-2:] for r in csv.reader(io.StringIO(out))][1:] == [["", ""], ["", ""]]

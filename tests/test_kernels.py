@@ -647,3 +647,92 @@ def test_load_bank_rejects_malformed_sidecar(tmp_path):
     bad.write_text('{"op": "spiral", "arrays": {}}')
     with pytest.raises(KernelError, match="unknown op"):
         load_bank(bad)
+
+
+# ----------------------------------------------------------------------
+# channels-last stage fold
+# ----------------------------------------------------------------------
+
+
+def _channels_first_depthwise(x, w, strides):
+    """The per-slice window core as it ran channels-first, kept here as a
+    reference: x (n, A, B, C), w (n, ka, kb, kc) -> (n, A', B', C')."""
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    ks = w.shape[1:]
+    pads = [(0, 0)] + [((k - 1) // 2, k // 2) for k in ks]
+    xp = np.pad(x, pads) if max(ks) > 1 else x
+    axes = tuple(ax for ax, k in zip((1, 2, 3), ks) if k > 1)
+    wins = tuple(k for k in ks if k > 1)
+    labels = "".join(l for l, k in zip("abc", ks) if k > 1)
+    win = sliding_window_view(xp, wins, axis=axes) if axes else xp
+    win = win[:, :: strides[0], :: strides[1], :: strides[2]]
+    return np.einsum(f"nzyx{labels},n{labels}->nzyx", win, w.reshape((x.shape[0],) + wins))
+
+
+@pytest.mark.parametrize("shape", ["kkk", "1kk", "k11"])
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_channels_last_window_core_matches_channels_first(shape, k, s):
+    from sepconv3d.kernels import _depthwise_core
+
+    ks = tuple(k if c == "k" else 1 for c in shape)
+    x = Volume4.random((3, 5, 6, 7), seed=k + s, dtype=np.float64).array
+    w = KernelBank.random("fwsc", 5, 3, seed=s).arrays["depthwise"]
+    w = w[:, : ks[0], : ks[1], : ks[2]].copy()
+    ref = _channels_first_depthwise(x, w, (s, s, s))
+    got = np.moveaxis(_depthwise_core(x.transpose(1, 2, 3, 0), w, (s, s, s)), -1, 0)
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("ci", [1, 2, 4])
+@pytest.mark.parametrize("s", [1, 2])
+def test_fwsc_equals_its_stages_bit_exact_at_k1_one_output_channel(ci, s):
+    # a k=1 window reads its input unpadded, so the stage fold and the
+    # standalone stages must not let that layout reach the mix
+    x = Volume4.random((ci, 4, 6, 8), seed=ci, dtype=np.float64)
+    bank = KernelBank.random("fwsc", 1, ci, 1, seed=s, bias=True, bn=True)
+    mid = depthwise_cube(x, bank.arrays["depthwise"], s)
+    staged = scale_shift(pointwise_mix(mid, bank.arrays["pointwise"]),
+                         bias=bank.bias, scale=bank.bn_scale, shift=bank.bn_shift)
+    assert np.array_equal(conv3d_fwsc(x, bank, s).array, staged.array)
+
+
+# SHA-256 over conv3d_full and deconv3d_full outputs (k, stride, dtype and
+# c_out swept), recorded before the stage fold went channels-last: the
+# dense engine's operands did not change, so neither may its bytes.
+_DENSE_SWEEP_SHA256 = "fafc86338e7422a18e50dcebb6317d58deebd53208c7d364b256cc9ff85d7308"
+
+
+def test_dense_outputs_are_pinned():
+    h = hashlib.sha256()
+    for op in (conv3d_full, deconv3d_full):
+        for k in (1, 3, 5):
+            for s in (1, 2, 3):
+                for dtype in (np.float32, np.float64):
+                    for co in (1, 3):
+                        bank = KernelBank.random("full", k, 2, co, seed=10 * k + s,
+                                                 bias=True, bn=True)
+                        x = Volume4.random((2, 3, 4, 5), seed=k + s, dtype=dtype)
+                        y = op(x, bank, s).array
+                        h.update(f"{op.__name__} k={k} s={s} {y.dtype} {y.shape}".encode())
+                        h.update(y.tobytes())
+    assert h.hexdigest() == _DENSE_SWEEP_SHA256
+
+
+# ----------------------------------------------------------------------
+# booleans are not integers
+# ----------------------------------------------------------------------
+
+
+def test_bank_rejects_bools():
+    with pytest.raises(KernelError, match="got True"):
+        KernelBank.random("full", True, True, True)
+    args = {"k": 3, "c_in": 2, "c_out": 2, "d_in": 4, "d_out": 4}
+    for field in args:
+        with pytest.raises(KernelError, match="got True"):
+            KernelBank.random("dwsc", seed=0, **{**args, field: True})
+    x = Volume4.random((2, 3, 4, 5), seed=0)
+    with pytest.raises(KernelError, match="stride"):
+        forward(x, KernelBank.random("full", 3, 2, 2, seed=0), True)

@@ -2,6 +2,7 @@
 shipped network descriptions."""
 
 import json
+import dataclasses
 from importlib import resources
 
 import pytest
@@ -400,3 +401,13 @@ def test_predicted_shapes_follow_the_stage_list(monkeypatch):
     x = Volume4.random((2, 5, 6, 7), seed=3)
     assert _run_layer(layer, x, 4).dims == Shape4(4, 5, 3, 4)
     assert layer_output_shape(layer, x.dims) == Shape4(4, 5, 3, 4)
+
+
+@pytest.mark.parametrize("field", ["k", "stride", "out_channels"])
+def test_layer_fields_reject_bools(field):
+    fields = {"k": 1, "stride": 1, "out_channels": 1, field: True}
+    layer = LayerSpec(id="b", kind="conv3d", variant="full", bias=False, bn=False, **fields)
+    with pytest.raises(ConfigError, match="layer 'b': k, stride and out_channels"):
+        layer_output_shape(layer, Shape4(1, 2, 3, 4))
+    # the same layer with plain integers is fine
+    assert layer_output_shape(dataclasses.replace(layer, **{field: 1}), Shape4(1, 2, 3, 4))

@@ -302,3 +302,41 @@ def test_catalog_detects_swapped_fdwsc_strides(monkeypatch):
     for case in ("cost-oracle/closed-form-vs-loop", "composition/fdwsc-rank1-vs-fwsc"):
         (r,) = run_catalog(name_filter=case)
         assert not r.passed, str(r)
+
+
+def test_catalog_detects_spatially_flipped_upstream_gradient(monkeypatch):
+    # with an all-ones upstream gradient a flip in space is invisible; the
+    # catalog's seeded random one must expose it on every variant
+    assert all(r.passed for r in run_catalog(name_filter="grad/"))
+    orig = kernels.backward
+
+    def flipped(x, bank, grad_out, stride=1):
+        return orig(x, bank, Volume4(grad_out.array[:, ::-1, ::-1, ::-1]), stride)
+
+    monkeypatch.setattr(kernels, "backward", flipped)
+    reports = run_catalog(name_filter="grad/")
+    assert [r.case for r in reports] == [f"grad/{v}" for v in ("full", "fwsc", "dwsc", "fdwsc")]
+    assert all(not r.passed for r in reports), [str(r) for r in reports]
+
+
+@pytest.mark.parametrize("variant", ["full", "fwsc", "dwsc", "fdwsc"])
+def test_finite_diff_with_upstream_gradient_matches_backward(variant):
+    dwsc = variant == "dwsc"
+    x = Volume4.random((2, 3, 4, 3), seed=22, dtype=np.float64)
+    bank = _bank(variant, 3, 2, 2 if dwsc else 3, d_in=3 if dwsc else None, bias=True, bn=True)
+    y = kernels.forward(x, bank, 2)
+    g = Volume4.random(y.dims, seed=23, dtype=np.float64)
+    gin, grads = kernels.backward(x, bank, g, 2)
+    fd = finite_diff_grad(x, bank, 2, grad_out=g)
+    assert max_rel_err(fd["input"], gin.array, floor=1e-6) <= 1e-4
+    for name, an in grads.items():
+        assert max_rel_err(fd[name], an, floor=1e-6) <= 1e-4, name
+    # the default (sum) loss is a different function of the weights
+    plain = finite_diff_grad(x, bank, 2)
+    assert max_rel_err(plain["input"], gin.array, floor=1e-6) > 1e-2
+
+
+def test_finite_diff_rejects_mismatched_upstream_gradient():
+    x = Volume4.random((1, 2, 2, 2), seed=0, dtype=np.float64)
+    with pytest.raises(KernelError, match="grad_out shape"):
+        finite_diff_grad(x, _bank("full", 1, 1, 1), grad_out=Volume4.zeros((1, 1, 1, 1)))

@@ -332,3 +332,15 @@ def test_save_and_load_files(tmp_path):
     assert load_volume(path) == v
     with pytest.raises(OSError):
         load_volume(tmp_path / "missing.sv3d")
+
+
+@pytest.mark.parametrize("k", [2.5, 3.0, True, "3", None])
+def test_pad_same_rejects_non_integer_window(k):
+    v = Volume4.random((1, 2, 3, 4), seed=1)
+    with pytest.raises(VolumeError, match="window size"):
+        v.pad_same(k)
+
+
+def test_pad_same_accepts_numpy_integers():
+    v = Volume4.random((1, 2, 3, 4), seed=1)
+    assert np.array_equal(v.pad_same(np.int64(3)).array, v.pad_same(3).array)
