@@ -29,6 +29,7 @@ _EXPORTS = {
     "conv3d_fwsc": "kernels",
     "conv3d_dwsc": "kernels",
     "conv3d_fdwsc": "kernels",
+    "deconv3d_backward": "kernels",
     "deconv3d_full": "kernels",
     "depthwise_cube": "kernels",
     "pointwise_mix": "kernels",

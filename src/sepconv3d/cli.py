@@ -25,6 +25,8 @@ import time
 
 from .netcfg import VARIANTS
 
+__all__ = ["main"]
+
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_IO = 2

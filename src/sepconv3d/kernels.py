@@ -26,13 +26,13 @@ channels-last input, then walks them in reverse.
 The transposed conv (``deconv3d_full``) upsamples by the stride.  Its
 stage list (``netcfg.layer_stages``) is the transpose of the "full"
 bank's single dense stage: one "scatter" stage, which ``deconv3d_full``
-runs through the same fold as ``forward``.  At stride s > 1 the scatter
-stage runs as s**3 phase convolutions (the sub-pixel view of a strided
-transposed conv), so the upsampling zeros are never multiplied: per
-axis it executes k*n taps, which is the billed ``costs.scatter_taps``
-plus the upper-edge taps that read zero padding (3n against 3n - 1 at
-k=3, s=2).  The backward has no scatter entry, so a deconv layer has
-no backward.
+runs through the same fold as ``forward``, and ``deconv3d_backward``
+differentiates through the same backward as ``backward``.  At stride
+s > 1 the scatter stage runs as s**3 phase convolutions (the sub-pixel
+view of a strided transposed conv), so the upsampling zeros are never
+multiplied: per axis it executes k*n taps, which is the billed
+``costs.scatter_taps`` plus the upper-edge taps that read zero padding
+(3n against 3n - 1 at k=3, s=2).
 
 All windows use zero "same" padding (``netcfg.same_pad``), so output
 extents are ceil(n / stride) along strided axes, and n * stride after a
@@ -54,6 +54,18 @@ channel (or slice) axis innermost, contiguous in both operands: dense
 and scatter stages share one dense-window engine, and per-slice stages
 window only their non-unit kernel axes.  1x1x1 mixes are plain matrix
 products over the flattened sites.
+
+The backward runs on the same engines.  A strided window's gradient
+with respect to its input is its transpose, a scatter: one phase loop
+runs either engine per output phase, so with the dense engine it is
+the scatter stage and with the per-slice engine the input gradient of
+a per-slice window.  A per-slice window's weight gradient is one
+einsum over the forward's own window view.  The dense stage's
+backward walks its taps, one pair of matrix products per tap, which is
+measured faster there than either einsum form; it is the only tap
+loop.  A scatter stage's input gradient is a dense window, and its
+weight gradient is that walk with the input and the upstream gradient
+in swapped roles.
 """
 
 from __future__ import annotations
@@ -62,7 +74,6 @@ import itertools
 import json
 import math
 import os
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -89,11 +100,13 @@ __all__ = [
     "conv3d_fwsc",
     "conv3d_dwsc",
     "conv3d_fdwsc",
+    "deconv3d_backward",
     "deconv3d_full",
     "depthwise_cube",
     "forward",
     "load_bank",
     "out_extent",
+    "output_dims",
     "pointwise_mix",
     "save_bank",
     "scale_shift",
@@ -313,49 +326,61 @@ def _stages(bank: KernelBank, s: int, kind: str = "conv3d"):
 # ----------------------------------------------------------------------
 
 
-def _pad_same(arr: np.ndarray, ks) -> np.ndarray:
-    """Zero-pad the first three axes for windows of extent ks = (ka, kb,
-    kc).  Returns a fresh padded copy, or arr made contiguous when no axis
-    pads, so that a window einsum never inherits a strided view's layout."""
-    if max(ks) > 1:
-        return np.pad(arr, [same_pad(k) for k in ks] + [(0, 0)], mode="constant")
-    return np.ascontiguousarray(arr)
+def _window_view(x: np.ndarray, ks, pads, strides):
+    """The pad-and-window step every window engine shares.
 
-
-def _depthwise_core(x: np.ndarray, w: np.ndarray, strides) -> np.ndarray:
-    """Per-slice windowed MAC.
-
-    x: (A, B, C, n) float64, unpadded; w: (n, ka, kb, kc); strides
-    (sa, sb, sc).  Slice i of the output only ever reads slice i of the
-    input.  One einsum over a strided window view, streaming the slice
-    axis innermost; axes whose kernel extent is 1 are left out of the
-    window so the split-stage layouts (k*k over h,w; k over d) gather
-    exactly their own taps.
+    x: (A, B, C, n); ks: window extents (ka, kb, kc); pads: a (low, high)
+    zero pad per window axis.  Pads x into one fresh copy (a zeroed
+    buffer, filled in place: np.pad costs 15 us of set-up per call,
+    which small layers and the finite differences pay per forward), or
+    only makes it contiguous when nothing pads, so that a window einsum
+    never inherits a strided view's layout.  Returns (view, taps): the
+    strided window view (A', B', C', n, *window) over the axes whose
+    extent is not 1, and the einsum labels of those window axes.
     """
-    n, ks = w.shape[0], w.shape[1:]
-    xp = _pad_same(x, ks)
+    if any(lo or hi for lo, hi in pads):
+        xp = np.zeros([m + lo + hi for m, (lo, hi) in zip(x.shape, pads)] + [x.shape[3]])
+        xp[tuple(slice(lo, lo + m) for m, (lo, _) in zip(x.shape, pads))] = x
+        x = xp
+    else:
+        x = np.ascontiguousarray(x)
     axes = tuple(ax for ax, k in enumerate(ks) if k > 1)
-    wins = tuple(k for k in ks if k > 1)
-    labels = "".join(l for l, k in zip("abc", ks) if k > 1)
-    win = sliding_window_view(xp, wins, axis=axes) if axes else xp
-    win = win[:: strides[0], :: strides[1], :: strides[2]]
-    wt = np.ascontiguousarray(np.moveaxis(w.reshape((n,) + wins), 0, -1))
-    return np.einsum(f"zyxn{labels},{labels}n->zyxn", win, wt, optimize=False)
+    if axes:
+        x = sliding_window_view(x, tuple(ks[ax] for ax in axes), axis=axes)
+    return x[:: strides[0], :: strides[1], :: strides[2]], "".join("abc"[ax] for ax in axes)
 
 
 def _dense_window(x: np.ndarray, wt: np.ndarray, pads, strides, out=None) -> np.ndarray:
     """Dense window + channel mix, the one dense engine.
 
-    x: (A, B, C, ci) float64; wt: (ci, ka, kb, kc, co); pads: a (low,
-    high) zero pad per window axis.  Pads x into one copy, then runs one
-    einsum over a strided window view of it, so the contraction's
-    innermost axis (output channel) is contiguous in both operands.
-    Returns the (A', B', C', co) result, written into `out` when given.
+    x: (A, B, C, ci) float64; wt: (ci, ka, kb, kc, co).  One einsum over
+    the strided window view of x, so the contraction's innermost axis
+    (output channel) is contiguous in both operands.  Returns the
+    (A', B', C', co) result, written into `out` when given.
     """
-    xt = np.pad(x, list(pads) + [(0, 0)], mode="constant")
-    win = sliding_window_view(xt, wt.shape[1:4], axis=(0, 1, 2))
-    win = win[:: strides[0], :: strides[1], :: strides[2]]
-    return np.einsum("zyxiabc,iabco->zyxo", win, wt, out=out, optimize=False)
+    win, taps = _window_view(x, wt.shape[1:4], pads, strides)
+    wt = np.ascontiguousarray(wt.reshape(wt.shape[:1] + win.shape[4:] + wt.shape[-1:]))
+    return np.einsum(f"zyxi{taps},i{taps}o->zyxo", win, wt, out=out, optimize=False)
+
+
+def _slice_window(x: np.ndarray, w: np.ndarray, pads, strides, out=None) -> np.ndarray:
+    """Per-slice window, the one per-slice engine.
+
+    x: (A, B, C, n) float64; w: (n, ka, kb, kc).  Slice i of the output
+    only ever reads slice i of x.  One einsum over the strided window
+    view, streaming the slice axis innermost; axes whose kernel extent
+    is 1 are left out of the window, so the split-stage layouts (k*k
+    over h,w; k over d) gather exactly their own taps.  Returns the
+    (A', B', C', n) result, written into `out` when given.
+    """
+    win, taps = _window_view(x, w.shape[1:], pads, strides)
+    wt = np.ascontiguousarray(np.moveaxis(w.reshape(w.shape[:1] + win.shape[4:]), 0, -1))
+    return np.einsum(f"zyxn{taps},{taps}n->zyxn", win, wt, out=out, optimize=False)
+
+
+def _depthwise_core(x: np.ndarray, w: np.ndarray, strides) -> np.ndarray:
+    """Per-slice window stage: x (A, B, C, n), unpadded; w (n, ka, kb, kc)."""
+    return _slice_window(x, w, [same_pad(k) for k in w.shape[1:]], strides)
 
 
 def _conv_full_core(x: np.ndarray, w: np.ndarray, strides) -> np.ndarray:
@@ -363,44 +388,55 @@ def _conv_full_core(x: np.ndarray, w: np.ndarray, strides) -> np.ndarray:
 
     x: (A, B, C, ci) float64, unpadded; w: (co, ci, ka, kb, kc).
     """
-    wt = np.ascontiguousarray(w.transpose(1, 2, 3, 4, 0))
-    return _dense_window(x, wt, [same_pad(k) for k in w.shape[2:]], strides)
+    return _dense_window(x, np.moveaxis(w, 0, -1), [same_pad(k) for k in w.shape[2:]], strides)
 
 
-def _deconv_phase_core(x: np.ndarray, w: np.ndarray, strides) -> np.ndarray:
-    """Transposed dense conv (a scatter stage), one dense window per
-    output phase.
+def _phase_scatter(x: np.ndarray, w: np.ndarray, strides, window, n_out: int) -> np.ndarray:
+    """Transposed window (a scatter), one `window` per output phase.
 
-    x: (A, B, C, ci) float64, unpadded; w: (co, ci, k, k, k); strides
-    (s, s, s), the upsampling factor of every axis.  With the taps
-    reversed, output s*q + r along an axis receives the taps f, f+s,
-    f+2s, ... with f = (p - r) mod s and p the low same-pad; they read
-    the consecutive inputs q + o, q + o + 1, ... with o = (r + f - p) / s.
-    Each phase is therefore a dense window over the input, padded for
-    that phase, with a strided sub-kernel, written in place into a
-    strided view of one (A*s, B*s, C*s, co) output.  Phases that no tap
+    x: (A, B, C, n) float64, unpadded; w: the `window` engine's kernel,
+    taps on axes 1-3; strides (sa, sb, sc): the upsampling factor of
+    each axis.  Along an axis of kernel extent k and factor s, with the
+    taps reversed, output s*q + r receives the taps f, f+s, f+2s, ...
+    with f = (p - r) mod s and p the low same-pad; they read the
+    consecutive inputs q + o, q + o + 1, ... with o = (r + f - p) / s.
+    Each phase is therefore a window over the input, padded for that
+    phase, with a strided sub-kernel, written in place into a strided
+    view of one (A*sa, B*sb, C*sc, n_out) output.  Phases that no tap
     reaches (k < s) are zero.  Per axis this executes k*n taps, against
-    s*n*k for a dense window over the zero-inserted grid.
+    s*n*k for a window over the zero-inserted grid.
+
+    With the dense engine this is the scatter stage; with the per-slice
+    engine it is the transpose of a window stage, i.e. its input
+    gradient before the crop to the stage input's extents.
     """
-    co, k, s = w.shape[0], w.shape[2], strides[0]
-    p = same_pad(k)[0]
-    first = [(p - r) % s for r in range(s)]
-    offset = [(r + f - p) // s for r, f in enumerate(first)]
-    wt = w[:, :, ::-1, ::-1, ::-1].transpose(1, 2, 3, 4, 0)
-    out = np.empty(tuple(n * s for n in x.shape[:3]) + (co,))
-    for r in itertools.product(range(s), repeat=3):
-        dst = out[r[0]::s, r[1]::s, r[2]::s]
-        if any(first[ra] >= k for ra in r):
+    ks = w.shape[1:4]
+    rev = w[:, ::-1, ::-1, ::-1]
+    out = np.empty(tuple(n * s for n, s in zip(x.shape[:3], strides)) + (n_out,))
+
+    def phases(k, s):
+        p = same_pad(k)[0]
+        return [(r, (p - r) % s, (r + (p - r) % s - p) // s) for r in range(s)]
+
+    for ph in itertools.product(*map(phases, ks, strides)):
+        dst = out[tuple(slice(r, None, s) for (r, _, _), s in zip(ph, strides))]
+        if any(f >= k for (_, f, _), k in zip(ph, ks)):
             dst.fill(0.0)
             continue
-        sub = np.ascontiguousarray(wt[:, first[r[0]]::s, first[r[1]]::s, first[r[2]]::s])
+        sub = rev[(slice(None),) + tuple(slice(f, None, s) for (_, f, _), s in zip(ph, strides))]
         # output q reads inputs q + o .. q + o + m - 1; o + m - 1 >= 0 for
         # every live phase, so the high pad is never negative
-        o = [offset[ra] for ra in r]
-        pads = [(max(0, -oa), oa + m - 1) for oa, m in zip(o, sub.shape[1:4])]
-        src = tuple(slice(max(0, oa), None) for oa in o)
-        _dense_window(x[src], sub, pads, (1, 1, 1), out=dst)
+        pads = [(max(0, -o), o + m - 1) for (_, _, o), m in zip(ph, sub.shape[1:4])]
+        src = tuple(slice(max(0, o), None) for _, _, o in ph)
+        window(x[src], sub, pads, (1, 1, 1), out=dst)
     return out
+
+
+def _scatter_core(x: np.ndarray, w: np.ndarray, strides) -> np.ndarray:
+    """Transposed dense conv (a scatter stage): x (A, B, C, ci), unpadded;
+    w (co, ci, k, k, k).  Stride 1 has a single phase: the dense window
+    with the tap-reversed kernel."""
+    return _phase_scatter(x, np.moveaxis(w, 0, -1), strides, _dense_window, w.shape[0])
 
 
 def _pointwise_core(x: np.ndarray, pw: np.ndarray, strides=None) -> np.ndarray:
@@ -417,7 +453,7 @@ _STAGE_FWD = {
     "dense": _conv_full_core,
     "window": _depthwise_core,
     "mix": _pointwise_core,
-    "scatter": _deconv_phase_core,
+    "scatter": _scatter_core,
 }
 
 
@@ -537,9 +573,9 @@ def deconv3d_full(x: Volume4, bank: KernelBank, stride: int = 1) -> Volume4:
 
     Runs the bank's stage list as a deconv3d layer: one "scatter" stage,
     a dense window with the tap-reversed kernel per output phase (see
-    _deconv_phase_core), so the inserted upsampling zeros are never
+    _phase_scatter), so the inserted upsampling zeros are never
     multiplied.  Stride 1 has a single phase: the dense window itself.
-    `backward` does not differentiate it."""
+    `deconv3d_backward` differentiates it."""
     s = _check_int("stride", stride)
     _want(bank, "full")
     return _run(x, bank, _stages(bank, s, "deconv3d"))
@@ -593,32 +629,51 @@ def output_dims(variant: str, in_dims: Shape4, k: int, stride: int, c_out: int) 
 # ----------------------------------------------------------------------
 
 
-def _window_bwd(x: np.ndarray, w: np.ndarray, strides, gz: np.ndarray, tap):
-    """Gradients of a window stage w.r.t. its input and weights.
+def _window_bwd(x: np.ndarray, w: np.ndarray, strides, gz: np.ndarray):
+    """Gradients of a per-slice window stage w.r.t. its input and weights.
 
-    Walks the kernel taps; `tap(x_slice, w_tap, gz)` returns one tap's
-    (weight gradient, input gradient), where x_slice is what the tap
-    reads of the padded input at every strided output site.
+    The input gradient is the stage's transpose, a per-slice scatter of
+    gz cropped to x; the weight gradient is one einsum over the
+    forward's own window view.
     """
-    ks = w.shape[-3:]
-    xp = _pad_same(x, ks)
-    n = [m - k + 1 for m, k in zip(xp.shape, ks)]
+    gx = _phase_scatter(gz, w, strides, _slice_window, x.shape[3])
+    win, taps = _window_view(x, w.shape[1:], [same_pad(k) for k in w.shape[1:]], strides)
+    gw = np.einsum(f"zyxn{taps},zyxn->n{taps}", win, gz, optimize=False)
+    return gx[tuple(map(slice, x.shape[:3]))], gw.reshape(w.shape)
+
+
+def _dense_bwd(x: np.ndarray, w: np.ndarray, strides, gz: np.ndarray):
+    """Gradients of a dense stage w.r.t. its input and weights.
+
+    Walks the kernel taps with two matrix products per tap: the tap's
+    weight gradient from what it reads of the padded input at every
+    strided output site, and its share of the input gradient.  Measured
+    faster than the einsum engine for either half: at 32x24x32x48, k=3,
+    32 -> 32 channels, 1 thread, the whole walk took 97 ms, the weight
+    half as one einsum 443 ms and the input half as a scatter 271 ms.
+    """
+    pads = [same_pad(k) for k in w.shape[2:]]
+    xp, _ = _window_view(x, (1, 1, 1), pads, (1, 1, 1))  # unit windows: the padded copy
     gxp = np.zeros_like(xp)
-    gw = np.zeros_like(w)
-    for t in itertools.product(*map(range, ks)):
-        sl = tuple(slice(a, a + m, s) for a, m, s in zip(t, n, strides))
-        wt = (Ellipsis,) + t
-        gw[wt], gx = tap(xp[sl], w[wt], gz)
-        gxp[sl] += gx
-    return _unpad(gxp, x.shape, ks), gw
+    gw = np.empty_like(w)
+    for t in itertools.product(*map(range, w.shape[2:])):
+        sl = tuple(slice(a, a + s * m, s) for a, m, s in zip(t, gz.shape, strides))
+        gw[(...,) + t] = np.tensordot(gz, xp[sl], axes=([0, 1, 2], [0, 1, 2]))
+        gxp[sl] += gz @ w[(...,) + t]
+    return gxp[tuple(slice(lo, lo + n) for (lo, _), n in zip(pads, x.shape))], gw
 
 
-def _dense_tap(xs: np.ndarray, wt: np.ndarray, gz: np.ndarray):
-    return np.tensordot(gz, xs, axes=([0, 1, 2], [0, 1, 2])), gz @ wt
+def _scatter_bwd(x: np.ndarray, w: np.ndarray, strides, gz: np.ndarray):
+    """Gradients of a scatter stage, the transpose of a dense one.
 
-
-def _slice_tap(xs: np.ndarray, wt: np.ndarray, gz: np.ndarray):
-    return np.einsum("zyxn,zyxn->n", gz, xs), gz * wt
+    The input gradient is the dense window of gz with the channel axes
+    swapped.  The weight gradient is the dense walk with x and gz in
+    swapped roles, its channel axes swapped back; the walk's input
+    half is not needed here.
+    """
+    wt = w.swapaxes(0, 1)
+    _, gw = _dense_bwd(gz, wt, strides, x)
+    return _conv_full_core(gz, wt, strides), gw.swapaxes(0, 1)
 
 
 def _pointwise_bwd(h: np.ndarray, pw: np.ndarray, strides, gz: np.ndarray):
@@ -626,18 +681,11 @@ def _pointwise_bwd(h: np.ndarray, pw: np.ndarray, strides, gz: np.ndarray):
 
 
 _STAGE_BWD = {
-    "dense": partial(_window_bwd, tap=_dense_tap),
-    "window": partial(_window_bwd, tap=_slice_tap),
+    "dense": _dense_bwd,
+    "window": _window_bwd,
     "mix": _pointwise_bwd,
+    "scatter": _scatter_bwd,
 }
-
-
-def _unpad(arr: np.ndarray, shape, ks) -> np.ndarray:
-    sl = []
-    for n, k in zip(shape, ks):
-        lo = same_pad(k)[0]
-        sl.append(slice(lo, lo + n))
-    return arr[tuple(sl)].copy()
 
 
 def _affine_bwd(z: np.ndarray, bank: KernelBank, g: np.ndarray):
@@ -656,22 +704,11 @@ def _affine_bwd(z: np.ndarray, bank: KernelBank, g: np.ndarray):
     return gz, extras
 
 
-def backward(x: Volume4, bank: KernelBank, grad_out: Volume4, stride: int = 1):
-    """Analytic gradients of sum-style losses through `forward`.
-
-    Differentiates the conv3d variants only.  A `deconv3d_full` layer
-    carries a plain "full" bank, so it cannot be told apart here: given
-    one, this returns the gradients of `conv3d_full` (or raises on a
-    shape mismatch), not of the transposed conv.
-
-    Returns (grad_input: Volume4 float64, grads: dict) where `grads`
-    holds one float64 array per bank array, plus "bias"/"bn_scale"/
-    "bn_shift" when present.
-    """
-    s = _check_int("stride", stride)
+def _backward(x: Volume4, bank: KernelBank, grad_out: Volume4, stages):
+    """Run `stages` as `_run` does, keeping each stage's input, then walk
+    them in reverse through `_STAGE_BWD`."""
     _want_input(x, bank)
     g = np.asarray(grad_out.array, dtype=np.float64)
-    stages = _stages(bank, s)
     order = _stage_order(bank)
     inputs = []
     z = _fold(_as_f64(x), stages, order, inputs)
@@ -685,6 +722,28 @@ def backward(x: Volume4, bank: KernelBank, grad_out: Volume4, stride: int = 1):
     grads = {name: grads[name].reshape(arr.shape) for name, arr in bank.arrays.items()}
     grads.update(extras)
     return Volume4(_channels_first(g, order), copy=False), grads
+
+
+def backward(x: Volume4, bank: KernelBank, grad_out: Volume4, stride: int = 1):
+    """Analytic gradients of loss = vdot(grad_out, forward(x, bank, stride)).
+
+    Differentiates the conv3d variants.  A `deconv3d_full` layer carries
+    a plain "full" bank, which cannot be told apart here: differentiate
+    it with `deconv3d_backward`.
+
+    Returns (grad_input: Volume4 float64, grads: dict) where `grads`
+    holds one float64 array per bank array, plus "bias"/"bn_scale"/
+    "bn_shift" when present.
+    """
+    return _backward(x, bank, grad_out, _stages(bank, _check_int("stride", stride)))
+
+
+def deconv3d_backward(x: Volume4, bank: KernelBank, grad_out: Volume4, stride: int = 1):
+    """Analytic gradients of loss = vdot(grad_out, deconv3d_full(x, bank,
+    stride)); returns what `backward` returns."""
+    s = _check_int("stride", stride)
+    _want(bank, "full")
+    return _backward(x, bank, grad_out, _stages(bank, s, "deconv3d"))
 
 
 # ----------------------------------------------------------------------

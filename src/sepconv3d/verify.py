@@ -8,7 +8,8 @@ Three families of checks live here:
   values and the number of multiply-accumulates the loops executed, so
   one nest serves as value oracle and as MAC counter.
 * ``finite_diff_grad`` - central finite differences of the scalar loss
-  sum(output) with respect to every input element and every weight.
+  vdot(g, output), for an upstream gradient g (ones by default), with
+  respect to every input element and every weight.
 * ``composition_check`` - cross-variant identities (a separable op must
   equal its composed stages, collapse to the dense op in degenerate
   settings, and so on).
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -226,7 +227,7 @@ def loop_forward(variant: str, x: Volume4, bank: KernelBank, stride: int = 1):
         raise KernelError(f"bank is {bank.variant!r}, requested {variant!r}")
     if x.c != bank.c_in:
         raise KernelError(f"input has {x.c} channels, bank expects {bank.c_in}")
-    s = int(stride)
+    s = _k._check_int("stride", stride)
     xl = x.array.astype(np.float64).tolist()
     box = [0]
 
@@ -268,7 +269,7 @@ def loop_deconv(x: Volume4, bank: KernelBank, stride: int = 1):
         raise KernelError(f"transposed conv needs a 'full' bank, got {bank.variant!r}")
     if x.c != bank.c_in:
         raise KernelError(f"input has {x.c} channels, bank expects {bank.c_in}")
-    s = int(stride)
+    s = _k._check_int("stride", stride)
     k = bank.k
     p = (k - 1) // 2
     ci, d, h, w = x.dims
@@ -330,20 +331,24 @@ def finite_diff_grad(
     stride: int = 1,
     step: float = 1e-5,
     grad_out: Optional[Volume4] = None,
+    op: Optional[Callable] = None,
 ) -> dict:
-    """Central differences of loss = vdot(grad_out, forward(x)) w.r.t.
-    everything; without `grad_out`, of loss = sum(forward(x)).
+    """Central differences of loss = vdot(grad_out, op(x, bank, stride))
+    w.r.t. everything; without `grad_out`, of loss = sum(op(x, ...)).
 
-    These are the gradients `backward` returns for that `grad_out`
-    (ones when absent).  Returns {"input": array like x} plus one entry
-    per bank array and per present bias/BN vector.  Requires float64
-    input; step must lie in [1e-7, 1e-3].
+    `op` defaults to ``kernels.forward``, whose gradients `backward`
+    returns for that `grad_out` (ones when absent); pass
+    ``kernels.deconv3d_full`` to check `deconv3d_backward`.  Returns
+    {"input": array like x} plus one entry per bank array and per
+    present bias/BN vector.  Requires float64 input; step must lie in
+    [1e-7, 1e-3].
     """
     if x.dtype != np.float64:
         raise KernelError(f"finite differences require float64 input, got {x.dtype}")
     if not (1e-7 <= step <= 1e-3):
         raise KernelError(f"step must be within [1e-7, 1e-3], got {step}")
     g = None if grad_out is None else np.asarray(grad_out.array, dtype=np.float64)
+    op = _k.forward if op is None else op
 
     def loss_with(xa: np.ndarray, arrays: dict, vecs: dict) -> float:
         b = KernelBank(
@@ -358,7 +363,7 @@ def finite_diff_grad(
             bn_scale=vecs.get("bn_scale"),
             bn_shift=vecs.get("bn_shift"),
         )
-        y = _k.forward(Volume4(xa, copy=False), b, stride).array
+        y = op(Volume4(xa, copy=False), b, stride).array
         if g is None:
             return float(np.sum(y, dtype=np.float64))
         if g.shape != y.shape:
@@ -643,16 +648,40 @@ def _grad_inputs(grng, variant: str, reps: int) -> list:
     return inputs
 
 
-def _grad_check(name: str, inputs: list) -> OracleReport:
-    """Analytic backward against central differences, from a seeded
-    random upstream gradient, so that a backward which moves the
-    upstream gradient to the wrong sites fails."""
+# (k, stride, c_in, c_out) of the transposed-conv gradient checks, cycled:
+# the k=1 inputs mix unequal channel counts, and the k=3 ones have taps
+# that both reach and skip the inserted zeros, on one channel because a
+# stride-2 forward runs 8 phases and central differences run two
+# forwards per parameter
+_GRAD_DECONV = ((1, 1, 2, 3), (1, 2, 3, 2), (3, 1, 1, 1), (3, 2, 1, 1))
+
+
+def _grad_deconv_inputs(reps: int) -> list:
+    """(x, bank, stride, seed of the upstream gradient) of the
+    transposed-conv gradient checks, on their own stream."""
+    grng = np.random.default_rng(0x6EADDEC)
+    inputs = []
+    for i in range(reps):
+        k, stride, ci, co = _GRAD_DECONV[i % len(_GRAD_DECONV)]
+        d, h, w = (int(grng.integers(1, 3)) for _ in range(3))
+        bank = KernelBank.random("full", k, ci, co, seed=int(grng.integers(0, 2 ** 31)),
+                                 bias=True, bn=True)
+        x = Volume4.random((ci, d, h, w), seed=int(grng.integers(0, 2 ** 31)),
+                           dtype=np.float64)
+        inputs.append((x, bank, stride, int(grng.integers(0, 2 ** 31))))
+    return inputs
+
+
+def _grad_check(name: str, inputs: list, op, bwd) -> OracleReport:
+    """Analytic backward `bwd` of `op` against central differences, from
+    a seeded random upstream gradient, so that a backward which moves
+    the upstream gradient to the wrong sites fails."""
     worst_rel = 0.0
     for x, bank, stride, gseed in inputs:
-        y = _k.forward(x, bank, stride)
+        y = op(x, bank, stride)
         gout = Volume4.random(y.dims, seed=gseed, dtype=np.float64)
-        gin, grads = _k.backward(x, bank, gout, stride)
-        fd = finite_diff_grad(x, bank, stride, step=1e-5, grad_out=gout)
+        gin, grads = bwd(x, bank, gout, stride)
+        fd = finite_diff_grad(x, bank, stride, step=1e-5, grad_out=gout, op=op)
         worst_rel = max(worst_rel, max_rel_err(fd["input"], gin.array, floor=1e-6))
         for gname, g in grads.items():
             worst_rel = max(worst_rel, max_rel_err(fd[gname], g, floor=1e-6))
@@ -684,5 +713,9 @@ def run_catalog(name_filter: Optional[str] = None, seeds: int = 8) -> list:
     grng = np.random.default_rng(0x6EAD)
     for variant in ("full", "fwsc", "dwsc", "fdwsc"):
         inputs = _grad_inputs(grng, variant, max(seeds // 4, 2))
-        cases.append((f"grad/{variant}", partial(_grad_check, inputs=inputs)))
+        cases.append((f"grad/{variant}",
+                      partial(_grad_check, inputs=inputs, op=_k.forward, bwd=_k.backward)))
+    cases.append(("grad/deconv",
+                  partial(_grad_check, inputs=_grad_deconv_inputs(max(seeds // 2, 4)),
+                          op=_k.deconv3d_full, bwd=_k.deconv3d_backward)))
     return [run(name) for name, run in cases if not name_filter or name_filter in name]

@@ -2,6 +2,7 @@
 bank validation and serialization."""
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from sepconv3d.kernels import (
     conv3d_fdwsc,
     conv3d_full,
     conv3d_fwsc,
+    deconv3d_backward,
     deconv3d_full,
     depthwise_cube,
     forward,
@@ -388,23 +390,23 @@ def _replaced(bank, name, value):
     )
 
 
-def _worst_directional_error(bwd, variant, stride, seed=40):
+def _worst_directional_error(bwd, variant, stride, seed=40, op=forward, k=3):
     """Worst relative gap between `bwd`'s directional derivatives of
-    loss = vdot(g, forward(x)), for a seeded random g, and their central
+    loss = vdot(g, op(x)), for a seeded random g, and their central
     differences.  One random direction for the input and one for each
     bank array and affine vector."""
     rng = np.random.default_rng(seed)
     ci = 2
     bank = KernelBank.random(
-        variant, 3, ci, ci if variant == "dwsc" else 3,
+        variant, k, ci, ci if variant == "dwsc" else 3,
         d_in=(4 if variant == "dwsc" else None), seed=seed, bias=True, bn=True,
     )
     x = rng.uniform(-1.0, 1.0, (ci, 4, 5, 6))
-    g = rng.uniform(-1.0, 1.0, tuple(forward(Volume4(x), bank, stride).dims))
+    g = rng.uniform(-1.0, 1.0, tuple(op(Volume4(x), bank, stride).dims))
     gx, grads = bwd(Volume4(x), bank, Volume4(g), stride)
 
     def loss(xa, b):
-        return float(np.vdot(g, forward(Volume4(xa), b, stride).array))
+        return float(np.vdot(g, op(Volume4(xa), b, stride).array))
 
     eps = 1e-3
     u = rng.uniform(-1.0, 1.0, x.shape)
@@ -435,6 +437,40 @@ def test_directional_check_catches_spatially_flipped_grad_out(variant):
         return backward(x, bank, Volume4(grad_out.array[:, ::-1, ::-1, ::-1]), stride)
 
     assert _worst_directional_error(flipped, variant, 1) > 1e-2
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("stride", [1, 2, 3])
+def test_deconv_backward_matches_directional_central_differences(stride, k):
+    err = _worst_directional_error(deconv3d_backward, "full", stride, op=deconv3d_full, k=k)
+    assert err < 1e-6
+
+
+def test_deconv_and_conv_gradients_differ_at_stride_1():
+    # the shapes agree at stride 1, so only the layer kind tells them apart
+    bank = KernelBank.random("full", 3, 2, 3, seed=41, bias=True, bn=True)
+    x = Volume4.random((2, 3, 4, 5), seed=42, dtype=np.float64)
+    g = Volume4.random((3, 3, 4, 5), seed=43, dtype=np.float64)
+    _, conv = backward(x, bank, g)
+    _, deconv = deconv3d_backward(x, bank, g)
+    assert conv["weights"].shape == deconv["weights"].shape
+    assert np.abs(conv["weights"] - deconv["weights"]).max() > 1e-2
+    assert np.array_equal(conv["bias"], deconv["bias"])  # the affine is shared
+
+
+def test_deconv_backward_validation():
+    x = Volume4.random((2, 2, 3, 3), seed=44, dtype=np.float64)
+    bank = KernelBank.random("full", 3, 2, 2, seed=45)
+    with pytest.raises(KernelError, match="'full' bank"):
+        deconv3d_backward(x, KernelBank.random("fwsc", 3, 2, 2, seed=1),
+                          Volume4.zeros((2, 4, 6, 6)), 2)
+    with pytest.raises(KernelError, match="grad_out"):
+        deconv3d_backward(x, bank, Volume4.zeros((2, 2, 3, 3)), 2)
+    for stride in (0, 1.5, True):
+        with pytest.raises(KernelError, match="stride"):
+            deconv3d_backward(x, bank, Volume4.zeros((2, 4, 6, 6)), stride)
+    gx, grads = deconv3d_backward(x, bank, Volume4.zeros((2, 4, 6, 6)), np.int64(2))
+    assert gx.dims == x.dims and grads["weights"].shape == (2, 2, 3, 3, 3)
 
 
 # ----------------------------------------------------------------------
@@ -686,6 +722,64 @@ def test_channels_last_window_core_matches_channels_first(shape, k, s):
     assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
+def _tap_walk_window_bwd(x, w, strides, gz):
+    """The per-slice window backward as it ran before it reused the
+    forward's engines, kept here as a reference: a walk over the kernel
+    taps, x (A, B, C, n), w (n, ka, kb, kc), gz the stage's output
+    gradient.  Returns (input gradient, weight gradient)."""
+    ks = w.shape[1:]
+    pads = [((k - 1) // 2, k // 2) for k in ks]
+    xp = np.pad(x, pads + [(0, 0)])
+    n = [m - k + 1 for m, k in zip(xp.shape, ks)]
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    for t in itertools.product(*map(range, ks)):
+        sl = tuple(slice(a, a + m, s) for a, m, s in zip(t, n, strides))
+        gw[(Ellipsis,) + t] = np.einsum("zyxn,zyxn->n", gz, xp[sl])
+        gxp[sl] += gz * w[(Ellipsis,) + t]
+    return gxp[tuple(slice(lo, lo + m) for (lo, _), m in zip(pads, x.shape))], gw
+
+
+def _window_case(shape, k, s):
+    """Channels-last x (5, 6, 7, 3), a per-slice kernel of layout `shape`
+    ("kkk", "1kk" or "k11") and its strides."""
+    ks = tuple(k if c == "k" else 1 for c in shape)
+    x = Volume4.random((3, 5, 6, 7), seed=k + s, dtype=np.float64).array.transpose(1, 2, 3, 0)
+    w = KernelBank.random("fwsc", 5, 3, seed=s).arrays["depthwise"]
+    return x, w[:, : ks[0], : ks[1], : ks[2]].copy(), (s, s, s)
+
+
+@pytest.mark.parametrize("shape", ["kkk", "1kk", "k11"])
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_window_scatter_is_the_adjoint_of_the_window(shape, k, s):
+    from sepconv3d.kernels import _depthwise_core, _phase_scatter, _slice_window
+
+    x, w, strides = _window_case(shape, k, s)
+    y = _depthwise_core(x, w, strides)
+    g = np.random.default_rng(k * s).uniform(-1.0, 1.0, y.shape)
+    back = _phase_scatter(g, w, strides, _slice_window, x.shape[-1])
+    assert back.shape == tuple(m * s for m in y.shape[:3]) + (3,)
+    lhs = np.vdot(y, g)
+    rhs = np.vdot(x, back[: x.shape[0], : x.shape[1], : x.shape[2]])
+    assert abs(lhs - rhs) <= 1e-13 * abs(lhs)
+
+
+@pytest.mark.parametrize("shape", ["kkk", "1kk", "k11"])
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_window_gradients_match_the_tap_walk(shape, k, s):
+    from sepconv3d.kernels import _STAGE_BWD, _depthwise_core
+
+    x, w, strides = _window_case(shape, k, s)
+    y = _depthwise_core(x, w, strides)
+    gz = np.random.default_rng(k + s).uniform(-1.0, 1.0, y.shape)
+    for got, ref in zip(_STAGE_BWD["window"](x, w, strides, gz),
+                        _tap_walk_window_bwd(x, w, strides, gz)):
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
 @pytest.mark.parametrize("ci", [1, 2, 4])
 @pytest.mark.parametrize("s", [1, 2])
 def test_fwsc_equals_its_stages_bit_exact_at_k1_one_output_channel(ci, s):
@@ -736,3 +830,19 @@ def test_bank_rejects_bools():
     x = Volume4.random((2, 3, 4, 5), seed=0)
     with pytest.raises(KernelError, match="stride"):
         forward(x, KernelBank.random("full", 3, 2, 2, seed=0), True)
+
+
+# ----------------------------------------------------------------------
+# package surface
+# ----------------------------------------------------------------------
+
+
+def test_package_exports_are_in_their_modules_all():
+    import importlib
+
+    import sepconv3d
+
+    for name, module in sepconv3d._EXPORTS.items():
+        mod = importlib.import_module(f"sepconv3d.{module}")
+        assert name in getattr(mod, "__all__", ()), f"{module}.__all__ lacks {name}"
+        assert getattr(sepconv3d, name) is getattr(mod, name)

@@ -29,6 +29,9 @@ def _bank(variant, k, ci, co, *, d_in=None, seed=7, bias=False, bn=False):
     )
 
 
+GRAD_CASES = [f"grad/{v}" for v in ("full", "fwsc", "dwsc", "fdwsc", "deconv")]
+
+
 # ----------------------------------------------------------------------
 # loop nests agree with the production kernels
 # ----------------------------------------------------------------------
@@ -56,6 +59,27 @@ def test_loop_deconv_matches_production(stride):
     ref, _ = loop_deconv(x, bank, stride)
     got = kernels.deconv3d_full(x, bank, stride)
     assert max_rel_err(got.array, ref) <= 1e-9
+
+
+@pytest.mark.parametrize("stride", [2.7, 1.9, True, 0, -1, "2"])
+def test_loop_nests_reject_non_integral_stride(stride):
+    # int(stride) would run 2.7 as 2, 1.9 and True as 1, and 0 would
+    # divide by zero
+    x = Volume4.random((1, 2, 2, 2), seed=0, dtype=np.float64)
+    bank = _bank("full", 1, 1, 1)
+    with pytest.raises(KernelError, match="stride"):
+        loop_forward("full", x, bank, stride)
+    with pytest.raises(KernelError, match="stride"):
+        loop_deconv(x, bank, stride)
+
+
+def test_loop_nests_accept_numpy_integer_stride():
+    x = Volume4.random((2, 3, 4, 5), seed=1, dtype=np.float64)
+    bank = _bank("full", 3, 2, 2, bias=True)
+    for loop in (lambda s: loop_forward("full", x, bank, s), lambda s: loop_deconv(x, bank, s)):
+        got, mac = loop(np.int64(2))
+        want, want_mac = loop(2)
+        assert np.array_equal(got, want) and mac == want_mac
 
 
 def test_loop_forward_validation():
@@ -159,6 +183,18 @@ def test_finite_diff_matches_backward():
         assert max_rel_err(fd[name], g, floor=1e-6) <= 1e-4, name
 
 
+def test_finite_diff_differentiates_the_given_op():
+    x = Volume4.random((2, 2, 2, 3), seed=24, dtype=np.float64)
+    bank = _bank("full", 3, 2, 3, bias=True, bn=True)
+    y = kernels.deconv3d_full(x, bank, 2)
+    g = Volume4.random(y.dims, seed=25, dtype=np.float64)
+    gin, grads = kernels.deconv3d_backward(x, bank, g, 2)
+    fd = finite_diff_grad(x, bank, 2, grad_out=g, op=kernels.deconv3d_full)
+    assert max_rel_err(fd["input"], gin.array, floor=1e-6) <= 1e-4
+    for name, an in grads.items():
+        assert max_rel_err(fd[name], an, floor=1e-6) <= 1e-4, name
+
+
 def test_finite_diff_validation():
     x32 = Volume4.random((1, 2, 2, 2), seed=0)
     bank = _bank("full", 1, 1, 1)
@@ -216,7 +252,7 @@ def test_run_catalog_covers_every_family(catalog):
         [f"composition/{c}" for c in COMPOSITION_CASES]
         + ["composition/deconv-vs-loop"]
         + ["cost-oracle/closed-form-vs-loop", "cost-oracle/deconv-scatter"]
-        + [f"grad/{v}" for v in ("full", "fwsc", "dwsc", "fdwsc")]
+        + GRAD_CASES
     )
     failures = [str(r) for r in catalog if not r.passed]
     assert not failures, failures
@@ -224,10 +260,11 @@ def test_run_catalog_covers_every_family(catalog):
 
 def test_run_catalog_name_filter():
     got = run_catalog(name_filter="grad", seeds=2)
-    assert [r.case for r in got] == [f"grad/{v}" for v in ("full", "fwsc", "dwsc", "fdwsc")]
+    assert [r.case for r in got] == GRAD_CASES
 
 
-@pytest.mark.parametrize("name_filter", ["grad/fdwsc", "deconv", "cost-oracle", "k1-collapse"])
+@pytest.mark.parametrize("name_filter",
+                         ["grad/fdwsc", "grad/deconv", "deconv", "cost-oracle", "k1-collapse"])
 def test_filtered_catalog_lines_equal_unfiltered(catalog, name_filter):
     got = run_catalog(name_filter=name_filter, seeds=4)
     want = [str(r) for r in catalog if name_filter in r.case]
@@ -240,6 +277,7 @@ def test_filtered_catalog_runs_only_selected_cases(monkeypatch):
 
     monkeypatch.setattr(verify, "composition_check", boom)
     monkeypatch.setattr(kernels, "backward", boom)
+    monkeypatch.setattr(kernels, "deconv3d_backward", boom)
     got = run_catalog(name_filter="cost-oracle", seeds=2)
     assert [r.case for r in got] == ["cost-oracle/closed-form-vs-loop",
                                      "cost-oracle/deconv-scatter"]
@@ -273,15 +311,34 @@ def test_catalog_detects_corrupted_cost_model(monkeypatch):
 
 
 def test_catalog_detects_corrupted_backward(monkeypatch):
-    orig = kernels.backward
+    for name in ("backward", "deconv3d_backward"):
+        def skewed(x, bank, grad_out, stride=1, orig=getattr(kernels, name)):
+            gin, grads = orig(x, bank, grad_out, stride)
+            return Volume4(gin.to_numpy() * 1.01, copy=False), grads
 
-    def skewed(x, bank, grad_out, stride=1):
-        gin, grads = orig(x, bank, grad_out, stride)
-        return Volume4(gin.to_numpy() * 1.01, copy=False), grads
-
-    monkeypatch.setattr(kernels, "backward", skewed)
+        monkeypatch.setattr(kernels, name, skewed)
     reports = run_catalog(name_filter="grad", seeds=2)
-    assert reports and all(not r.passed for r in reports)
+    assert [r.case for r in reports] == GRAD_CASES
+    assert all(not r.passed for r in reports)
+
+
+@pytest.mark.parametrize("mutant", ["no channel swap", "taps reversed"])
+def test_catalog_detects_mutated_scatter_backward(monkeypatch, mutant):
+    # the scatter stage's weight gradient is the dense walk's with the
+    # roles of x and gz swapped, then its channel axes swapped back; the
+    # walk already reads the taps in forward order
+    orig = kernels._STAGE_BWD["scatter"]
+
+    def mutated(x, w, strides, gz):
+        gx, gw = orig(x, w, strides, gz)
+        if mutant == "no channel swap":
+            return gx, np.ascontiguousarray(gw.swapaxes(0, 1)).reshape(gw.shape)
+        return gx, gw[:, :, ::-1, ::-1, ::-1]
+
+    assert run_catalog(name_filter="grad/deconv")[0].passed
+    monkeypatch.setitem(kernels._STAGE_BWD, "scatter", mutated)
+    (r,) = run_catalog(name_filter="grad/deconv")
+    assert not r.passed, str(r)
 
 
 def test_catalog_detects_swapped_fdwsc_strides(monkeypatch):
@@ -308,14 +365,13 @@ def test_catalog_detects_spatially_flipped_upstream_gradient(monkeypatch):
     # with an all-ones upstream gradient a flip in space is invisible; the
     # catalog's seeded random one must expose it on every variant
     assert all(r.passed for r in run_catalog(name_filter="grad/"))
-    orig = kernels.backward
+    for name in ("backward", "deconv3d_backward"):
+        def flipped(x, bank, grad_out, stride=1, orig=getattr(kernels, name)):
+            return orig(x, bank, Volume4(grad_out.array[:, ::-1, ::-1, ::-1]), stride)
 
-    def flipped(x, bank, grad_out, stride=1):
-        return orig(x, bank, Volume4(grad_out.array[:, ::-1, ::-1, ::-1]), stride)
-
-    monkeypatch.setattr(kernels, "backward", flipped)
+        monkeypatch.setattr(kernels, name, flipped)
     reports = run_catalog(name_filter="grad/")
-    assert [r.case for r in reports] == [f"grad/{v}" for v in ("full", "fwsc", "dwsc", "fdwsc")]
+    assert [r.case for r in reports] == GRAD_CASES
     assert all(not r.passed for r in reports), [str(r) for r in reports]
 
 
