@@ -262,6 +262,8 @@ class KernelBank:
     ) -> "KernelBank":
         """Seeded bank; each array is uniform in +-1/sqrt(fan_in), where
         fan_in is the product of its extents after the first."""
+        if not is_int(seed):
+            raise KernelError(f"seed must be an integer, got {seed!r}")
         if c_out is None:
             c_out = c_in
         k, c_in, c_out, d_in, d_out = _check_scalars(variant, k, c_in, c_out, d_in, d_out)
@@ -619,9 +621,12 @@ def pointwise_mix(x: Volume4, weights) -> Volume4:
 
 def output_dims(variant: str, in_dims: Shape4, k: int, stride: int, c_out: int) -> Shape4:
     """Output extents of a conv op, without running it."""
+    dims = tuple(in_dims)
+    if len(dims) != 4 or not all(is_int(n) and n >= 1 for n in dims):
+        raise KernelError(f"in_dims must be 4 integer extents >= 1, got {in_dims!r}")
     layer = LayerSpec(id="output_dims", kind="conv3d", variant=variant, k=k,
                       stride=_check_int("stride", stride), out_channels=c_out, bias=False, bn=False)
-    return layer_output_shape(layer, in_dims)
+    return layer_output_shape(layer, dims)
 
 
 # ----------------------------------------------------------------------

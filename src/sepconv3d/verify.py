@@ -4,9 +4,13 @@ Three families of checks live here:
 
 * ``loop_forward`` / ``loop_deconv`` - brute-force nested-loop
   re-implementations of every operator, written against the definitions
-  rather than the production kernels.  They return both the computed
-  values and the number of multiply-accumulates the loops executed, so
-  one nest serves as value oracle and as MAC counter.
+  rather than the production kernels.  Every conv variant runs one
+  window nest, out[o] = sum_i window(x[i], w[o][i]): the dense conv
+  calls it once, each per-slice window once per slice with one input
+  and one output, and each mix with 1x1x1 windows.  The transposed
+  conv has its own scatter nest.  Each nest returns both the computed
+  values and the number of multiply-accumulates it executed, so one
+  nest serves as value oracle and as MAC counter.
 * ``finite_diff_grad`` - central finite differences of the scalar loss
   vdot(g, output), for an upstream gradient g (ones by default), with
   respect to every input element and every weight.
@@ -14,10 +18,14 @@ Three families of checks live here:
   equal its composed stages, collapse to the dense op in degenerate
   settings, and so on).
 
-``counted_forward`` pairs the production forward output with the
-independent loop count; closed-form costs agreeing with that count for
-randomized configurations is the anti-drift check tying kernels and
-cost model together.
+The nests read the bank's arrays as nested lists, never the stage list
+the kernels and the cost model share, so a wrong stage list shows up as
+a disagreement with them.
+Closed-form costs agreeing with the loop counts for randomized
+configurations is the anti-drift check tying kernels and cost model
+together; it counts with ``loop_forward`` alone.  ``counted_forward``
+pairs the production forward output with that count for callers that
+want both from one call.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ import numpy as np
 from . import costs as _costs
 from . import kernels as _k
 from .kernels import KernelBank, KernelError
-from .netcfg import LayerSpec
+from .netcfg import LayerSpec, is_int
 from .volume import Shape4, Volume4
 
 __all__ = [
@@ -118,34 +126,36 @@ def _zeros(co, d, h, w):
     return [[[[0.0] * w for _ in range(h)] for _ in range(d)] for _ in range(co)]
 
 
-def _loop_full(x, bank: KernelBank, s: int):
-    ci, d, h, w = len(x), len(x[0]), len(x[0][0]), len(x[0][0][0])
-    k = bank.k
-    p = (k - 1) // 2
-    co = bank.c_out
-    D, H, W = _ceil(d, s), _ceil(h, s), _ceil(w, s)
-    wt = bank.arrays["weights"].tolist()
-    out = _zeros(co, D, H, W)
+def _window_nest(x, wt, strides):
+    """out[o] = sum_i window(x[i], wt[o][i]) for nested lists x (n_in, d,
+    h, w) and wt (n_out, n_in, ka, kb, kc), each window centred and
+    zero-padded, strided per axis; returns (out, macs)."""
+    n_in, d, h, w = len(x), len(x[0]), len(x[0][0]), len(x[0][0][0])
+    ka, kb, kc = len(wt[0][0]), len(wt[0][0][0]), len(wt[0][0][0][0])
+    pa, pb, pc = (ka - 1) // 2, (kb - 1) // 2, (kc - 1) // 2
+    sa, sb, sc = strides
+    D, H, W = _ceil(d, sa), _ceil(h, sb), _ceil(w, sc)
+    out = _zeros(len(wt), D, H, W)
     mac = 0
-    for o in range(co):
+    for o in range(len(wt)):
         wo = wt[o]
         for z in range(D):
             for y in range(H):
                 for xx in range(W):
                     acc = 0.0
-                    for i in range(ci):
+                    for i in range(n_in):
                         xi = x[i]
                         wi = wo[i]
-                        for a in range(k):
-                            dz = s * z + a - p
+                        for a in range(ka):
+                            dz = sa * z + a - pa
                             inside_z = 0 <= dz < d
                             wa = wi[a]
-                            for b in range(k):
-                                dy = s * y + b - p
+                            for b in range(kb):
+                                dy = sb * y + b - pb
                                 inside_y = inside_z and 0 <= dy < h
                                 wb = wa[b]
-                                for c in range(k):
-                                    dx = s * xx + c - p
+                                for c in range(kc):
+                                    dx = sc * xx + c - pc
                                     mac += 1
                                     if inside_y and 0 <= dx < w:
                                         acc += wb[c] * xi[dz][dy][dx]
@@ -153,61 +163,19 @@ def _loop_full(x, bank: KernelBank, s: int):
     return out, mac
 
 
-def _loop_depthwise(x, wt, k, strides, mac_box):
-    """Per-slice window over the last three axes; wt is (n, ka, kb, kc)."""
-    n, d, h, w = len(x), len(x[0]), len(x[0][0]), len(x[0][0][0])
-    ka, kb, kc = len(wt[0]), len(wt[0][0]), len(wt[0][0][0])
-    pa, pb, pc = (ka - 1) // 2, (kb - 1) // 2, (kc - 1) // 2
-    sa, sb, sc = strides
-    D, H, W = _ceil(d, sa), _ceil(h, sb), _ceil(w, sc)
-    out = _zeros(n, D, H, W)
-    mac = 0
-    for i in range(n):
-        xi = x[i]
-        wi = wt[i]
-        for z in range(D):
-            for y in range(H):
-                for xx in range(W):
-                    acc = 0.0
-                    for a in range(ka):
-                        dz = sa * z + a - pa
-                        ok_z = 0 <= dz < d
-                        wa = wi[a]
-                        for b in range(kb):
-                            dy = sb * y + b - pb
-                            ok_y = ok_z and 0 <= dy < h
-                            wb = wa[b]
-                            for c in range(kc):
-                                dx = sc * xx + c - pc
-                                mac += 1
-                                if ok_y and 0 <= dx < w:
-                                    acc += wb[c] * xi[dz][dy][dx]
-                    out[i][z][y][xx] = acc
-    mac_box[0] += mac
-    return out
+def _per_slice(x, wt, strides):
+    """out[i] = window(x[i], wt[i]): one single-channel nest per slice."""
+    out, mac = [], 0
+    for xi, wi in zip(x, wt):
+        (oi,), m = _window_nest([xi], [[wi]], strides)
+        out.append(oi)
+        mac += m
+    return out, mac
 
 
-def _loop_pointwise(x, pw, mac_box):
-    """Mix along axis 0: out[o] = sum_i pw[o][i] * x[i]."""
-    n_in, d, h, w = len(x), len(x[0]), len(x[0][0]), len(x[0][0][0])
-    n_out = len(pw)
-    out = _zeros(n_out, d, h, w)
-    mac = 0
-    for o in range(n_out):
-        po = pw[o]
-        oo = out[o]
-        for i in range(n_in):
-            coef = po[i]
-            xi = x[i]
-            for z in range(d):
-                for y in range(h):
-                    row = xi[z][y]
-                    orow = oo[z][y]
-                    for xx in range(w):
-                        orow[xx] += coef * row[xx]
-                        mac += 1
-    mac_box[0] += mac
-    return out
+def _mix(x, pw):
+    """out[o] = sum_i pw[o][i] * x[i]: the nest over 1x1x1 windows."""
+    return _window_nest(x, [[[[[c]]] for c in row] for row in pw], (1, 1, 1))
 
 
 def _transpose_xd(x):
@@ -229,33 +197,32 @@ def loop_forward(variant: str, x: Volume4, bank: KernelBank, stride: int = 1):
         raise KernelError(f"input has {x.c} channels, bank expects {bank.c_in}")
     s = _k._check_int("stride", stride)
     xl = x.array.astype(np.float64).tolist()
-    box = [0]
+    a = bank.arrays
 
     if variant == "full":
-        out, mac = _loop_full(xl, bank, s)
-        box[0] = mac
+        out, mac = _window_nest(xl, a["weights"].tolist(), (s, s, s))
     elif variant == "fwsc":
-        mid = _loop_depthwise(xl, bank.arrays["depthwise"].tolist(), bank.k, (s, s, s), box)
-        out = _loop_pointwise(mid, bank.arrays["pointwise"].tolist(), box)
+        mid, mac = _per_slice(xl, a["depthwise"].tolist(), (s, s, s))
+        out, m = _mix(mid, a["pointwise"].tolist())
+        mac += m
     elif variant == "dwsc":
         if x.d != bank.d_in:
             raise KernelError(f"input has {x.d} disparities, bank expects {bank.d_in}")
         xd = _transpose_xd(xl)  # (d, c, h, w)
-        mid = _loop_depthwise(xd, bank.arrays["depthwise"].tolist(), bank.k, (1, s, s), box)
-        outd = _loop_pointwise(mid, bank.arrays["pointwise"].tolist(), box)
-        out = _transpose_xd(outd)
+        mid, mac = _per_slice(xd, a["depthwise"].tolist(), (1, s, s))
+        outd, m = _mix(mid, a["pointwise"].tolist())
+        out, mac = _transpose_xd(outd), mac + m
     elif variant == "fdwsc":
         k, ci = bank.k, bank.c_in
-        sp = bank.arrays["spatial"].reshape(ci, 1, k, k).tolist()
-        dp = bank.arrays["disparity"].reshape(ci, k, 1, 1).tolist()
-        mid = _loop_depthwise(xl, sp, k, (1, s, s), box)
-        mid = _loop_depthwise(mid, dp, k, (s, 1, 1), box)
-        out = _loop_pointwise(mid, bank.arrays["pointwise"].tolist(), box)
+        mid, mac = _per_slice(xl, a["spatial"].reshape(ci, 1, k, k).tolist(), (1, s, s))
+        mid, m = _per_slice(mid, a["disparity"].reshape(ci, k, 1, 1).tolist(), (s, 1, 1))
+        out, m2 = _mix(mid, a["pointwise"].tolist())
+        mac += m + m2
     else:
         raise KernelError(f"unknown variant {variant!r}")
 
     out, extra = _affine_loop(out, bank)
-    return np.array(out, dtype=np.float64), box[0] + extra
+    return np.array(out, dtype=np.float64), mac + extra
 
 
 def loop_deconv(x: Volume4, bank: KernelBank, stride: int = 1):
@@ -350,19 +317,22 @@ def finite_diff_grad(
     g = None if grad_out is None else np.asarray(grad_out.array, dtype=np.float64)
     op = _k.forward if op is None else op
 
-    def loss_with(xa: np.ndarray, arrays: dict, vecs: dict) -> float:
-        b = KernelBank(
-            bank.variant,
-            bank.k,
-            bank.c_in,
-            bank.c_out,
-            arrays,
-            d_in=bank.d_in,
-            d_out=bank.d_out,
-            bias=vecs.get("bias"),
-            bn_scale=vecs.get("bn_scale"),
-            bn_shift=vecs.get("bn_shift"),
-        )
+    # one bank over copies of the arrays and vectors; the central
+    # differences perturb those copies in place
+    vecs = {n: getattr(bank, n) for n in ("bias", "bn_scale", "bn_shift")}
+    b = KernelBank(
+        bank.variant,
+        bank.k,
+        bank.c_in,
+        bank.c_out,
+        {n: a.copy() for n, a in bank.arrays.items()},
+        d_in=bank.d_in,
+        d_out=bank.d_out,
+        **{n: v.copy() for n, v in vecs.items() if v is not None},
+    )
+    xa = x.to_numpy()
+
+    def loss() -> float:
         y = op(Volume4(xa, copy=False), b, stride).array
         if g is None:
             return float(np.sum(y, dtype=np.float64))
@@ -370,35 +340,26 @@ def finite_diff_grad(
             raise KernelError(f"grad_out shape {g.shape} does not match forward output {y.shape}")
         return float(np.vdot(g, y))
 
-    base_arrays = {n: a.copy() for n, a in bank.arrays.items()}
-    base_vecs = {}
-    if bank.bias is not None:
-        base_vecs["bias"] = bank.bias.copy()
-    if bank.bn_scale is not None:
-        base_vecs["bn_scale"] = bank.bn_scale.copy()
-        base_vecs["bn_shift"] = bank.bn_shift.copy()
-
-    xa = x.to_numpy()
-
     def _central(arr: np.ndarray) -> np.ndarray:
         """Central differences along each element of `arr`, an array the
         loss reads, perturbed in place one element at a time."""
-        g = np.zeros_like(arr)
+        grad = np.zeros_like(arr)
         fl = arr.reshape(-1)
-        gfl = g.reshape(-1)
+        gfl = grad.reshape(-1)
         for j in range(fl.size):
             keep = fl[j]
             fl[j] = keep + step
-            up = loss_with(xa, base_arrays, base_vecs)
+            up = loss()
             fl[j] = keep - step
-            dn = loss_with(xa, base_arrays, base_vecs)
+            dn = loss()
             fl[j] = keep
             gfl[j] = (up - dn) / (2.0 * step)
-        return g
+        return grad
 
     grads = {"input": _central(xa)}
-    for name, arr in {**base_arrays, **base_vecs}.items():
-        grads[name] = _central(arr)
+    for name, arr in {**b.arrays, **{n: getattr(b, n) for n in vecs}}.items():
+        if arr is not None:
+            grads[name] = _central(arr)
     return grads
 
 
@@ -431,6 +392,8 @@ def _report(case: str, a, b, tol: float, bit_exact: bool = False, note: str = ""
 
 def composition_check(case: str, seed: int = 0) -> OracleReport:
     """Run one catalog case on seeded random data."""
+    if not is_int(seed):
+        raise KernelError(f"seed must be an integer, got {seed!r}")
     rng = np.random.default_rng(seed + 0x5EC0)
     k = int(rng.choice([1, 3]))
     stride = int(rng.choice([1, 2]))
@@ -524,30 +487,6 @@ def composition_check(case: str, seed: int = 0) -> OracleReport:
 # ----------------------------------------------------------------------
 
 
-def _random_layer_case(rng) -> tuple:
-    """One randomized (variant, spec, in_shape, bank, stride) tuple."""
-    variant = str(rng.choice(("full", "fwsc", "dwsc", "fdwsc")))
-    k = int(rng.choice([1, 3, 5]))
-    stride = int(rng.choice([1, 2]))
-    hi = 4 if k == 5 else 5
-    ci = int(rng.integers(1, 4))
-    co = ci if variant == "dwsc" else int(rng.integers(1, 5))
-    d, h, w = (int(rng.integers(2, hi)) for _ in range(3))
-    bias = bool(rng.integers(0, 2))
-    bn = bool(rng.integers(0, 2))
-    bank = KernelBank.random(
-        variant, k, ci, co,
-        d_in=d if variant == "dwsc" else None,
-        seed=int(rng.integers(0, 2 ** 31)),
-        bias=bias, bn=bn,
-    )
-    spec = LayerSpec(
-        id=f"{variant}-k{k}-s{stride}", kind="conv3d", variant=variant,
-        k=k, stride=stride, out_channels=co, bias=bias, bn=bn,
-    )
-    return variant, spec, Shape4(ci, d, h, w), bank, stride
-
-
 def _worst_over_seeds(name: str, check, seeds: int) -> OracleReport:
     """Run check(seed) for every seed; report the first failure, else the
     largest error."""
@@ -602,9 +541,21 @@ def _conv_layers(seeds: int):
     """Randomized conv3d layers with their loop-nest MAC counts."""
     rng = np.random.default_rng(0xC057)
     for _ in range(max(3 * seeds, 12)):
-        variant, spec, in_shape, bank, stride = _random_layer_case(rng)
+        variant = str(rng.choice(("full", "fwsc", "dwsc", "fdwsc")))
+        k = int(rng.choice([1, 3, 5]))
+        stride = int(rng.choice([1, 2]))
+        hi = 4 if k == 5 else 5
+        ci = int(rng.integers(1, 4))
+        co = ci if variant == "dwsc" else int(rng.integers(1, 5))
+        d, h, w = (int(rng.integers(2, hi)) for _ in range(3))
+        bias, bn = bool(rng.integers(0, 2)), bool(rng.integers(0, 2))
+        bank = KernelBank.random(variant, k, ci, co, d_in=d if variant == "dwsc" else None,
+                                 seed=int(rng.integers(0, 2 ** 31)), bias=bias, bn=bn)
+        spec = LayerSpec(id=f"{variant}-k{k}-s{stride}", kind="conv3d", variant=variant,
+                         k=k, stride=stride, out_channels=co, bias=bias, bn=bn)
+        in_shape = Shape4(ci, d, h, w)
         x = Volume4.random(in_shape, seed=int(rng.integers(0, 2 ** 31)), dtype=np.float64)
-        _, mac = counted_forward(x, bank, stride)
+        _, mac = loop_forward(variant, x, bank, stride)
         yield spec, in_shape, mac
 
 

@@ -50,12 +50,14 @@ _SUPPORTED_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 def _check_dims(dims: Iterable[int]) -> Shape4:
-    t = tuple(int(x) for x in dims)
+    t = tuple(dims)
     if len(t) != 4:
         raise VolumeError(f"expected 4 extents (c, d, h, w), got {len(t)}")
+    if not all(is_int(x) for x in t):
+        raise VolumeError(f"extents must be integers, got {t!r}")
     if any(x < 1 for x in t):
         raise VolumeError(f"all extents must be >= 1, got {t}")
-    return Shape4(*t)
+    return Shape4(*(int(x) for x in t))
 
 
 # ----------------------------------------------------------------------
@@ -73,10 +75,12 @@ _MIX_B = np.uint64(0x94D049BB133111EB)
 
 def splitmix64(seed: int, count: int) -> np.ndarray:
     """Return `count` raw 64-bit words of the SplitMix64 stream for `seed`."""
+    if not is_int(seed):
+        raise VolumeError(f"seed must be an integer, got {seed!r}")
     if count < 0:
         raise VolumeError(f"count must be >= 0, got {count}")
     with np.errstate(over="ignore"):
-        z = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + np.arange(
+        z = np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF) + np.arange(
             1, count + 1, dtype=np.uint64
         ) * _GOLDEN
         z = (z ^ (z >> np.uint64(30))) * _MIX_A
@@ -248,8 +252,10 @@ def _parse_axis_order(order):
             if ax not in _AXIS_BY_NAME:
                 raise VolumeError(f"unknown axis {ax!r}")
             idx.append(_AXIS_BY_NAME[ax])
-        else:
+        elif is_int(ax):
             idx.append(int(ax))
+        else:
+            raise VolumeError(f"axis must be an integer or a letter, got {ax!r}")
     if sorted(idx) != [0, 1, 2, 3]:
         raise VolumeError(f"axis order must be a permutation, got {order!r}")
     return tuple(idx)

@@ -29,7 +29,7 @@ from sepconv3d.kernels import (
     save_bank,
     scale_shift,
 )
-from sepconv3d.volume import Shape4, Volume4, save_volume
+from sepconv3d.volume import Shape4, Volume4, save_volume, uniform_open
 
 
 def _ones_bank(variant, k, ci, co=None, d_in=None):
@@ -846,3 +846,27 @@ def test_package_exports_are_in_their_modules_all():
         mod = importlib.import_module(f"sepconv3d.{module}")
         assert name in getattr(mod, "__all__", ()), f"{module}.__all__ lacks {name}"
         assert getattr(sepconv3d, name) is getattr(mod, name)
+
+
+@pytest.mark.parametrize("in_dims", [(2, 2.5, 4, 5), (0, 3, 4, 5), (2, 3, 4), (2, 3, 4, 5, 6),
+                                     (True, 3, 4, 5)])
+def test_output_dims_rejects_malformed_in_dims(in_dims):
+    with pytest.raises(KernelError, match="in_dims"):
+        output_dims("full", in_dims, 3, 2, 2)
+    assert output_dims("full", (2, np.int64(3), 4, 5), 3, 2, 2) == Shape4(2, 2, 2, 3)
+
+
+@pytest.mark.parametrize("seed", [2.5, 1.0, True, "1", None])
+def test_bank_random_rejects_non_integer_seeds(seed):
+    with pytest.raises(KernelError, match="seed"):
+        KernelBank.random("full", 3, 2, 2, seed=seed)
+
+
+def test_bank_random_seeds_keep_their_meaning():
+    # negative and zero seeds draw their usual streams; numpy integers are integers
+    def weights(seed):
+        return KernelBank.random("full", 1, 1, 2, seed=seed).arrays["weights"].ravel()
+
+    assert np.array_equal(weights(-5), uniform_open(-40, 2))
+    assert np.array_equal(weights(0), uniform_open(0, 2))
+    assert np.array_equal(weights(np.int64(9)), weights(9))

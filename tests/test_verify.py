@@ -2,6 +2,10 @@
 counting, finite differences, composition identities, and the check
 catalog — including mutation tests proving the catalog can fail."""
 
+import hashlib
+import inspect
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -396,3 +400,77 @@ def test_finite_diff_rejects_mismatched_upstream_gradient():
     x = Volume4.random((1, 2, 2, 2), seed=0, dtype=np.float64)
     with pytest.raises(KernelError, match="grad_out shape"):
         finite_diff_grad(x, _bank("full", 1, 1, 1), grad_out=Volume4.zeros((1, 1, 1, 1)))
+
+
+# ----------------------------------------------------------------------
+# one window nest serves every conv oracle; one bank per finite difference
+# ----------------------------------------------------------------------
+
+# loop_forward values and MACs plus finite_diff_grad results over every
+# variant, k in {1, 3, 5} and stride in {1, 2, 3}, recorded before the
+# per-variant loops became one window nest: the oracles' numbers, bit for bit
+_ORACLE_SWEEP_SHA256 = "08039f24a196f64fa1006caacd8030edfbdb1fc1ecc2a65af7055fd9b69f0e6d"
+
+
+def test_oracle_sweep_is_bit_identical():
+    h = hashlib.sha256()
+    for variant in ("full", "fwsc", "dwsc", "fdwsc"):
+        for k in (1, 3, 5):
+            for s in (1, 2, 3):
+                x = Volume4.random((2, 2, 3, 4), seed=31, dtype=np.float64)
+                bank = _bank(variant, k, 2, 2, d_in=2 if variant == "dwsc" else None,
+                             seed=k + 10 * s, bias=True, bn=True)
+                out, mac = loop_forward(variant, x, bank, s)
+                h.update(out.astype("<f8").tobytes() + str(mac).encode())
+                for name, g in finite_diff_grad(x, bank, s).items():
+                    h.update(name.encode() + g.astype("<f8").tobytes())
+    assert h.hexdigest() == _ORACLE_SWEEP_SHA256
+
+
+def test_finite_diff_builds_one_bank_per_call(monkeypatch):
+    x = Volume4.random((2, 2, 3, 3), seed=4, dtype=np.float64)
+    bank = _bank("fdwsc", 3, 2, 3, bias=True, bn=True)
+    before = {n: a.copy() for n, a in bank.arrays.items()}
+    built = []
+    orig = KernelBank.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(args[0])
+        orig(self, *args, **kwargs)
+
+    monkeypatch.setattr(KernelBank, "__init__", spy)
+    finite_diff_grad(x, bank, 2)
+    assert built == ["fdwsc"]
+    # the perturbed arrays are copies: the caller's bank is untouched
+    assert all(np.array_equal(bank.arrays[n], a) for n, a in before.items())
+
+
+def test_cost_oracle_runs_no_production_forward(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("the cost oracle ran a production forward")
+
+    monkeypatch.setattr(kernels, "forward", boom)
+    (r,) = run_catalog("cost-oracle/closed-form-vs-loop")
+    assert r.passed, str(r)
+
+
+def test_window_nest_mutant_fails_every_variant(monkeypatch):
+    # tap a read at offset a - p + 1: every conv oracle runs this one
+    # nest, so all four variants must disagree with production
+    src = textwrap.dedent(inspect.getsource(verify._window_nest))
+    mutant = src.replace("dz = sa * z + a - pa", "dz = sa * z + a - pa + 1")
+    assert mutant != src
+    scope = dict(vars(verify))
+    exec(mutant, scope)
+    monkeypatch.setattr(verify, "_window_nest", scope["_window_nest"])
+    for variant in ("full", "fwsc", "dwsc", "fdwsc"):
+        x = Volume4.random((2, 3, 4, 5), seed=11, dtype=np.float64)
+        bank = _bank(variant, 3, 2, 2, d_in=3 if variant == "dwsc" else None, bias=True)
+        ref, _ = loop_forward(variant, x, bank)
+        assert max_rel_err(kernels.forward(x, bank).array, ref) > 1e-3, variant
+
+
+@pytest.mark.parametrize("seed", [2.5, True, "1"])
+def test_composition_check_rejects_non_integer_seeds(seed):
+    with pytest.raises(KernelError, match="seed"):
+        composition_check(COMPOSITION_CASES[0], seed=seed)

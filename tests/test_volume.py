@@ -344,3 +344,40 @@ def test_pad_same_rejects_non_integer_window(k):
 def test_pad_same_accepts_numpy_integers():
     v = Volume4.random((1, 2, 3, 4), seed=1)
     assert np.array_equal(v.pad_same(np.int64(3)).array, v.pad_same(3).array)
+
+
+# ----------------------------------------------------------------------
+# extents, axes and seeds are integers, never truncated
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [2.7, 2.0, True, "2", None])
+def test_constructors_reject_non_integer_extents(bad):
+    dims = (bad, 3, 4, 5)
+    for make in (lambda: Volume4.random(dims, seed=1), lambda: Volume4.zeros(dims),
+                 lambda: Volume4.full(dims, 1.0)):
+        with pytest.raises(VolumeError, match="integers"):
+            make()
+    assert Volume4.zeros((np.int64(2), 3, np.int32(4), 5)).dims == Shape4(2, 3, 4, 5)
+
+
+@pytest.mark.parametrize("order", [(0.5, 1, 2, 3), (True, 0, 2, 3), ("c", 1.0, 2, 3)])
+def test_permute_rejects_non_integer_axes(order):
+    v = Volume4.random((2, 3, 4, 5), seed=1)
+    with pytest.raises(VolumeError, match="axis"):
+        v.permute(order)
+    assert v.permute((np.int64(1), 0, 2, 3)) == v.permute((1, 0, 2, 3))
+
+
+@pytest.mark.parametrize("seed", [2.5, 1.0, True, "1", None])
+def test_seeds_must_be_integers(seed):
+    for draw in (lambda: Volume4.random((1, 2, 2, 2), seed=seed),
+                 lambda: splitmix64(seed, 4), lambda: uniform_open(seed, 4)):
+        with pytest.raises(VolumeError, match="seed"):
+            draw()
+
+
+def test_negative_zero_and_numpy_integer_seeds_keep_their_streams():
+    assert np.array_equal(splitmix64(-1, 5), splitmix64(2**64 - 1, 5))
+    assert np.array_equal(splitmix64(np.int64(7), 5), splitmix64(7, 5))
+    assert Volume4.random((1, 2, 2, 2), seed=0) == Volume4.random((1, 2, 2, 2), seed=np.uint8(0))
