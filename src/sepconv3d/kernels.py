@@ -43,17 +43,25 @@ input's storage dtype at the end.
 Engine rule: every stage runs channels-last.  The fold views the layer
 input as (d, h, w, c) -- dwsc as (c, h, w, d), so its slices are
 disparities -- without copying it; each stage takes and returns an
-(A, B, C, n) array with the channel or slice axis last, and the fold
-makes one channels-first copy at the end, before the affine.  Every
-window stage -- dense or per-slice -- runs as one einsum over a
-strided window view (a scatter stage: one per output phase).  Taps are
-gathered in place, never packed into im2col-style buffers, so
-wall-time tracks the stage's multiply count and the benchmark compares
-layouts rather than copy machinery.  The contraction streams the
-channel (or slice) axis innermost, contiguous in both operands: dense
-and scatter stages share one dense-window engine, and per-slice stages
-window only their non-unit kernel axes.  1x1x1 mixes are plain matrix
-products over the flattened sites.
+(A, B, C, n) array with the channel or slice axis last.  The layer
+crosses back to channels-first once, before the affine.  A 1x1x1 mix,
+which only ever ends a stage list, writes its product channels-first
+and returns a channels-last view of it, so fwsc and fdwsc make no exit
+copy and dwsc one block transpose; the mix's backward reads the
+upstream gradient in that layout without a copy.  Every other exit --
+a dense or scatter stage, a standalone window, the backward's input
+gradient -- is one copy made a leading slice at a time
+(``_channels_first``).  Every window stage -- dense or per-slice --
+runs as one einsum over a strided window view (a scatter stage: one
+per output phase).  Taps are gathered in place, never packed into
+im2col-style buffers, so wall-time tracks the stage's multiply count
+and the benchmark compares layouts rather than copy machinery.  The
+contraction streams the channel (or slice) axis innermost, contiguous
+in both operands: dense and scatter stages share one dense-window
+engine, whose innermost window axis and channel axis are read as one
+contiguous reduction axis, and per-slice stages window only their
+non-unit kernel axes.  1x1x1 mixes are plain matrix products over the
+flattened sites.
 
 The backward runs on the same engines.  A strided window's gradient
 with respect to its input is its transpose, a scatter: one phase loop
@@ -64,8 +72,8 @@ einsum over the forward's own window view.  The dense stage's
 backward walks its taps, one pair of matrix products per tap, which is
 measured faster there than either einsum form; it is the only tap
 loop.  A scatter stage's input gradient is a dense window, and its
-weight gradient is that walk with the input and the upstream gradient
-in swapped roles.
+weight gradient is that walk's weight half with the input and the
+upstream gradient in swapped roles.
 """
 
 from __future__ import annotations
@@ -77,7 +85,7 @@ import os
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .netcfg import (
     VARIANTS,
@@ -328,24 +336,34 @@ def _stages(bank: KernelBank, s: int, kind: str = "conv3d"):
 # ----------------------------------------------------------------------
 
 
+def _padded(x: np.ndarray, pads) -> np.ndarray:
+    """x (A, B, C, n) zero-padded by a (low, high) pair per axis A, B, C,
+    as one fresh C-contiguous buffer: np.empty with only the halo faces
+    zeroed, then the interior filled in place (np.pad costs 15 us of
+    set-up per call, which small layers and the finite differences pay
+    per forward).  When nothing pads, x is only made contiguous, so that
+    a window einsum never inherits a strided view's layout."""
+    if not any(lo or hi for lo, hi in pads):
+        return np.ascontiguousarray(x)
+    xp = np.empty([m + lo + hi for m, (lo, hi) in zip(x.shape, pads)] + [x.shape[3]])
+    (a, a1), (b, b1), (c, c1) = pads
+    A, B, C = xp.shape[:3]
+    xp[:a] = xp[A - a1:] = 0.0
+    xp[:, :b] = xp[:, B - b1:] = 0.0
+    xp[:, :, :c] = xp[:, :, C - c1:] = 0.0
+    xp[a : A - a1, b : B - b1, c : C - c1] = x
+    return xp
+
+
 def _window_view(x: np.ndarray, ks, pads, strides):
-    """The pad-and-window step every window engine shares.
+    """The pad-and-window step of the per-slice engine.
 
     x: (A, B, C, n); ks: window extents (ka, kb, kc); pads: a (low, high)
-    zero pad per window axis.  Pads x into one fresh copy (a zeroed
-    buffer, filled in place: np.pad costs 15 us of set-up per call,
-    which small layers and the finite differences pay per forward), or
-    only makes it contiguous when nothing pads, so that a window einsum
-    never inherits a strided view's layout.  Returns (view, taps): the
-    strided window view (A', B', C', n, *window) over the axes whose
-    extent is not 1, and the einsum labels of those window axes.
+    zero pad per window axis.  Returns (view, taps): the strided window
+    view (A', B', C', n, *window) of `_padded(x, pads)` over the axes
+    whose extent is not 1, and the einsum labels of those window axes.
     """
-    if any(lo or hi for lo, hi in pads):
-        xp = np.zeros([m + lo + hi for m, (lo, hi) in zip(x.shape, pads)] + [x.shape[3]])
-        xp[tuple(slice(lo, lo + m) for m, (lo, _) in zip(x.shape, pads))] = x
-        x = xp
-    else:
-        x = np.ascontiguousarray(x)
+    x = _padded(x, pads)
     axes = tuple(ax for ax, k in enumerate(ks) if k > 1)
     if axes:
         x = sliding_window_view(x, tuple(ks[ax] for ax in axes), axis=axes)
@@ -356,13 +374,24 @@ def _dense_window(x: np.ndarray, wt: np.ndarray, pads, strides, out=None) -> np.
     """Dense window + channel mix, the one dense engine.
 
     x: (A, B, C, ci) float64; wt: (ci, ka, kb, kc, co).  One einsum over
-    the strided window view of x, so the contraction's innermost axis
-    (output channel) is contiguous in both operands.  Returns the
-    (A', B', C', co) result, written into `out` when given.
+    a strided window view of the padded x whose innermost window axis is
+    fused with the channel axis: the kc taps along C of ci channels each
+    are one contiguous run of kc*ci values, so the view reads them as a
+    single reduction axis K = tap*ci + channel without packing anything.
+    The output channel is innermost in the weights and the result.
+    Returns the (A', B', C', co) result, written into `out` when given.
     """
-    win, taps = _window_view(x, wt.shape[1:4], pads, strides)
-    wt = np.ascontiguousarray(wt.reshape(wt.shape[:1] + win.shape[4:] + wt.shape[-1:]))
-    return np.einsum(f"zyxi{taps},i{taps}o->zyxo", win, wt, out=out, optimize=False)
+    xp = _padded(x, pads)
+    ks, ci = wt.shape[1:4], wt.shape[0]
+    win = as_strided(
+        xp,
+        shape=[(m - k) // s + 1 for m, k, s in zip(xp.shape, ks, strides)]
+        + [ks[0], ks[1], ks[2] * ci],
+        strides=[st * s for st, s in zip(xp.strides, strides)] + list(xp.strides[:2]) + [xp.itemsize],
+        writeable=False,
+    )
+    wt = np.ascontiguousarray(wt.transpose(1, 2, 3, 0, 4)).reshape(win.shape[3:] + wt.shape[-1:])
+    return np.einsum("zyxabK,abKo->zyxo", win, wt, out=out, optimize=False)
 
 
 def _slice_window(x: np.ndarray, w: np.ndarray, pads, strides, out=None) -> np.ndarray:
@@ -446,9 +475,12 @@ def _pointwise_core(x: np.ndarray, pw: np.ndarray, strides=None) -> np.ndarray:
 
     One matrix product over the sites, flattened C-contiguous (a copy
     unless x already is), so the rounding does not depend on x's layout.
+    The product is written channels-first, pw @ sites.T -> (n_out, A, B,
+    C), and returned as its channels-last view: a mix only ever ends a
+    stage list, so the fold's exit finds its channels-first layout made.
     """
     sites = np.ascontiguousarray(x.reshape(-1, x.shape[-1]))
-    return (sites @ pw.T).reshape(x.shape[:-1] + pw.shape[:1])
+    return (pw @ sites.T).reshape(pw.shape[:1] + x.shape[:-1]).transpose(1, 2, 3, 0)
 
 
 _STAGE_FWD = {
@@ -469,15 +501,27 @@ def _stage_order(bank: KernelBank):
 
 
 def _channels_first(h: np.ndarray, order) -> np.ndarray:
-    """Undo the stage view `order` into one C-contiguous copy."""
-    return np.ascontiguousarray(h.transpose(np.argsort(order)))
+    """Undo the stage view `order` into a C-contiguous array: h's own
+    memory when that is already laid out so (a mix's result), else one
+    copy made a leading slice of h at a time, so that each slice's
+    transpose stays in cache: for a 24x32x48x32 float64 volume on a
+    2-vCPU Xeon, 1 thread, the whole-array strided copy took 6.6 ms,
+    the sliced one 1.5 ms and a plain copy 0.7 ms."""
+    cf = h.transpose(np.argsort(order))
+    if cf.flags.c_contiguous:
+        return cf
+    out = np.empty(cf.shape)
+    dst = out.transpose(order)
+    for a in range(h.shape[0]):
+        dst[a] = h[a]
+    return out
 
 
 def _fold(x: np.ndarray, stages, order, inputs: Optional[list] = None) -> np.ndarray:
     """Run `stages` over the channels-last view x.transpose(order); appends
     each stage's input to `inputs` if given.  Returns the result as one
-    channels-first array that the caller owns.  `x` stays referenced
-    until that exit copy is made."""
+    channels-first array that the caller owns (`_channels_first`).  `x`
+    stays referenced until the exit is made."""
     h = x.transpose(order)
     for kind, _, w, strides in stages:
         if inputs is not None:
@@ -505,7 +549,7 @@ def _as_f64(x: Volume4) -> np.ndarray:
 
 
 def _finish(arr: np.ndarray, like: Volume4) -> Volume4:
-    return Volume4(arr.astype(like.dtype), copy=False)
+    return Volume4(arr.astype(like.dtype, copy=False), copy=False)
 
 
 def _want(bank: KernelBank, variant: str) -> None:
@@ -647,24 +691,36 @@ def _window_bwd(x: np.ndarray, w: np.ndarray, strides, gz: np.ndarray):
     return gx[tuple(map(slice, x.shape[:3]))], gw.reshape(w.shape)
 
 
-def _dense_bwd(x: np.ndarray, w: np.ndarray, strides, gz: np.ndarray):
-    """Gradients of a dense stage w.r.t. its input and weights.
+def _tap_walk(xp: np.ndarray, w: np.ndarray, strides, gz: np.ndarray, gxp=None):
+    """The weight gradient of a dense stage, walked tap by tap.
 
-    Walks the kernel taps with two matrix products per tap: the tap's
-    weight gradient from what it reads of the padded input at every
-    strided output site, and its share of the input gradient.  Measured
-    faster than the einsum engine for either half: at 32x24x32x48, k=3,
-    32 -> 32 channels, 1 thread, the whole walk took 97 ms, the weight
-    half as one einsum 443 ms and the input half as a scatter 271 ms.
+    xp: the stage's padded input; w: (co, ci, ka, kb, kc); gz: the
+    output gradient.  Each tap's weight gradient is one matrix product
+    of gz with what the tap reads of xp at every strided output site;
+    when `gxp` (zeros shaped like xp) is given, the tap's share of the
+    input gradient, a second product, is accumulated into it.
     """
-    pads = [same_pad(k) for k in w.shape[2:]]
-    xp, _ = _window_view(x, (1, 1, 1), pads, (1, 1, 1))  # unit windows: the padded copy
-    gxp = np.zeros_like(xp)
     gw = np.empty_like(w)
     for t in itertools.product(*map(range, w.shape[2:])):
         sl = tuple(slice(a, a + s * m, s) for a, m, s in zip(t, gz.shape, strides))
         gw[(...,) + t] = np.tensordot(gz, xp[sl], axes=([0, 1, 2], [0, 1, 2]))
-        gxp[sl] += gz @ w[(...,) + t]
+        if gxp is not None:
+            gxp[sl] += gz @ w[(...,) + t]
+    return gw
+
+
+def _dense_bwd(x: np.ndarray, w: np.ndarray, strides, gz: np.ndarray):
+    """Gradients of a dense stage w.r.t. its input and weights.
+
+    One tap walk makes both.  Measured faster than the einsum engine for
+    either half: at 32x24x32x48, k=3, 32 -> 32 channels, 1 thread, the
+    whole walk took 97 ms, the weight half as one einsum 443 ms and the
+    input half as a scatter 271 ms.
+    """
+    pads = [same_pad(k) for k in w.shape[2:]]
+    xp = _padded(x, pads)
+    gxp = np.zeros_like(xp)
+    gw = _tap_walk(xp, w, strides, gz, gxp)
     return gxp[tuple(slice(lo, lo + n) for (lo, _), n in zip(pads, x.shape))], gw
 
 
@@ -672,17 +728,22 @@ def _scatter_bwd(x: np.ndarray, w: np.ndarray, strides, gz: np.ndarray):
     """Gradients of a scatter stage, the transpose of a dense one.
 
     The input gradient is the dense window of gz with the channel axes
-    swapped.  The weight gradient is the dense walk with x and gz in
-    swapped roles, its channel axes swapped back; the walk's input
-    half is not needed here.
+    swapped.  The weight gradient is the tap walk's weight half with x
+    and gz in swapped roles, its channel axes swapped back.
     """
     wt = w.swapaxes(0, 1)
-    _, gw = _dense_bwd(gz, wt, strides, x)
+    gw = _tap_walk(_padded(gz, [same_pad(k) for k in w.shape[2:]]), wt, strides, x)
     return _conv_full_core(gz, wt, strides), gw.swapaxes(0, 1)
 
 
 def _pointwise_bwd(h: np.ndarray, pw: np.ndarray, strides, gz: np.ndarray):
-    return _pointwise_core(gz, pw.T), np.tensordot(gz, h, axes=([0, 1, 2], [0, 1, 2]))
+    """Gradients of a 1x1x1 mix.  The upstream gradient is read as the
+    (n_out, sites) matrix the forward's mix writes, with no copy when gz
+    is a channels-last view of channels-first memory, as the backward
+    hands it over; the input gradient comes back channels-last."""
+    gf = gz.transpose(3, 0, 1, 2).reshape(pw.shape[0], -1)
+    sites = np.ascontiguousarray(h.reshape(-1, h.shape[-1]))
+    return (gf.T @ pw).reshape(h.shape), gf @ sites
 
 
 _STAGE_BWD = {
@@ -720,6 +781,7 @@ def _backward(x: Volume4, bank: KernelBank, grad_out: Volume4, stages):
     if g.shape != z.shape:
         raise KernelError(f"grad_out shape {g.shape} does not match forward output {z.shape}")
     g, extras = _affine_bwd(z, bank, g)
+    del z  # not needed past the affine: free it before the stages run
     g = g.transpose(order)
     grads = {}
     for kind, name, w, strides in reversed(stages):

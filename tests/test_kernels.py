@@ -870,3 +870,152 @@ def test_bank_random_seeds_keep_their_meaning():
     assert np.array_equal(weights(-5), uniform_open(-40, 2))
     assert np.array_equal(weights(0), uniform_open(0, 2))
     assert np.array_equal(weights(np.int64(9)), weights(9))
+
+
+# ----------------------------------------------------------------------
+# layout changes at the layer boundary
+# ----------------------------------------------------------------------
+
+
+def _channels_last_mix_layer(x, bank, s, grad_out=None):
+    """A conv3d layer as it ran with the mix channels-last: the stages on
+    the channels-last view, the mix as sites @ pw.T, one transposing
+    copy at exit; its backward read the upstream gradient through a
+    channels-last copy.  Returns the forward output, or (input gradient,
+    grads) when grad_out is given."""
+    from sepconv3d.kernels import (
+        _STAGE_BWD, _STAGE_FWD, _affine_bwd, _affine_core, _stage_order, _stages,
+    )
+
+    order = _stage_order(bank)
+    stages = _stages(bank, s)
+    h = np.asarray(x.array, dtype=np.float64).transpose(order)
+    inputs = []
+    for kind, _, w, strides in stages:
+        inputs.append(h)
+        if kind == "mix":
+            sites = np.ascontiguousarray(h.reshape(-1, h.shape[-1]))
+            h = (sites @ w.T).reshape(h.shape[:-1] + w.shape[:1])
+        else:
+            h = _STAGE_FWD[kind](h, w, strides)
+    z = np.ascontiguousarray(h.transpose(np.argsort(order)))
+    if grad_out is None:
+        return _affine_core(z, bank.bias, bank.bn_scale, bank.bn_shift).astype(x.dtype)
+    g, grads = _affine_bwd(z, bank, np.asarray(grad_out.array, dtype=np.float64))
+    g = g.transpose(order)
+    for kind, name, w, strides in reversed(stages):
+        h = inputs.pop()
+        if kind == "mix":
+            grads[name] = np.tensordot(g, h, axes=([0, 1, 2], [0, 1, 2]))
+            g = (np.ascontiguousarray(g.reshape(-1, g.shape[-1])) @ w).reshape(h.shape)
+        else:
+            g, grads[name] = _STAGE_BWD[kind](h, w, strides, g)
+    return np.ascontiguousarray(g.transpose(np.argsort(order))), grads
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("s", [1, 2])
+@pytest.mark.parametrize("variant", ["fwsc", "dwsc", "fdwsc"])
+def test_channels_first_mix_equals_channels_last_mix_then_copy(variant, s, dtype):
+    ci, co, dims = 6, 5, (7, 9, 11)
+    extra = {"d_in": dims[0], "d_out": 4} if variant == "dwsc" else {}
+    bank = KernelBank.random(variant, 3, ci, ci if variant == "dwsc" else co,
+                             seed=s, bias=True, bn=True, **extra)
+    x = Volume4.random((ci,) + dims, seed=3 + s, dtype=dtype)
+    y = forward(x, bank, s)
+    ref = _channels_last_mix_layer(x, bank, s)
+    assert y.dtype == ref.dtype and np.array_equal(y.array, ref)
+
+    g = Volume4.random(y.dims, seed=7 + s, dtype=np.float64)
+    gx, grads = backward(x, bank, g, s)
+    ref_gx, ref_grads = _channels_last_mix_layer(x, bank, s, g)
+    assert np.array_equal(gx.array, ref_gx)
+    assert sorted(grads) == sorted(ref_grads)
+    for name, arr in grads.items():
+        assert np.array_equal(arr, ref_grads[name].reshape(arr.shape)), name
+
+
+@pytest.mark.parametrize("order", [(1, 2, 3, 0), (0, 2, 3, 1)])
+@pytest.mark.parametrize("shape", [(4, 5, 6, 3), (1, 5, 6, 3), (4, 1, 1, 2)])
+def test_blocked_channels_first_copy_equals_one_transposing_copy(order, shape):
+    from sepconv3d.kernels import _channels_first
+
+    h = np.random.default_rng(sum(shape)).uniform(-1.0, 1.0, (shape[0] + 1,) + shape[1:])
+    for view in (h[: shape[0]], h[1:, :, ::-1]):  # contiguous, and a strided crop
+        got = _channels_first(view, order)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, np.ascontiguousarray(view.transpose(np.argsort(order))))
+    # memory already laid out channels-first is handed back, not copied
+    cf = np.ascontiguousarray(h.transpose(np.argsort(order)))
+    assert np.shares_memory(_channels_first(cf.transpose(order), order), cf)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("s", [1, 2, 3])
+@pytest.mark.parametrize("engine", ["dense", "slice"])
+def test_padded_halo_is_zero_for_every_phase_pad(monkeypatch, k, s, engine):
+    # np.empty is made to hand back NaNs, so a halo face left unzeroed shows
+    from sepconv3d import kernels
+
+    pads_seen = []
+
+    def recording(window):
+        def run(x, w, pads, strides, out=None):
+            pads_seen.append(pads)
+            return window(x, w, pads, strides, out=out)
+        return run
+
+    x = np.random.default_rng(k * s).uniform(-1.0, 1.0, (3, 4, 5, 2))
+    if engine == "dense":
+        w, window = np.ones((2, k, k, k, 2)), kernels._dense_window
+    else:
+        w, window = np.ones((2, k, k, k)), kernels._slice_window
+    kernels._phase_scatter(x, w, (s, s, s), recording(window), 2)
+    assert pads_seen
+    monkeypatch.setattr(np, "empty", lambda shape, *a, **kw: np.full(shape, np.nan, *a, **kw))
+    for pads in pads_seen + [[(0, 2), (1, 0), (2, 1)]]:
+        got = kernels._padded(x, pads)
+        assert np.array_equal(got, np.pad(x, list(pads) + [(0, 0)]))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("k", [1, 3])
+def test_f64_forward_neither_aliases_nor_freezes_its_input(variant, k):
+    extra = {"d_in": 3} if variant == "dwsc" else {}
+    bank = KernelBank.random(variant, k, 2, 2, seed=k, **extra)
+    base = np.random.default_rng(k).uniform(-1.0, 1.0, (2, 3, 4, 5))
+    x = Volume4(base)
+    before = x.array.copy()
+    outs = [forward(x, bank).array, depthwise_cube(x, np.ones((2, k, k, k))).array,
+            pointwise_mix(x, np.eye(2)).array, scale_shift(x).array]
+    if variant == "full":
+        outs.append(deconv3d_full(x, bank).array)
+    for y in outs:
+        assert y.dtype == np.float64
+        assert not np.shares_memory(y, x.array)
+        assert not np.shares_memory(y, base)
+    assert all(a.flags.writeable for a in bank.arrays.values())
+    assert np.array_equal(x.array, before)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_every_stage_list_places_a_mix_only_last(variant):
+    from sepconv3d.netcfg import layer_stages
+
+    layer_kinds = ("conv3d", "deconv3d") if variant == "full" else ("conv3d",)
+    for kind, k, s in itertools.product(layer_kinds, (1, 3, 5), (1, 2, 3)):
+        kinds = [st[0] for st in layer_stages(kind, variant, k, 4, 4, 6, 5, s)]
+        assert "mix" not in kinds[:-1]
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("s", [1, 2])
+def test_scatter_weight_gradient_is_the_dense_walks_weight_half(k, s):
+    from sepconv3d.kernels import _dense_bwd, _scatter_bwd
+
+    rng = np.random.default_rng(k + s)
+    x = rng.uniform(-1.0, 1.0, (3, 4, 5, 2))
+    w = rng.uniform(-1.0, 1.0, (4, 2, k, k, k))
+    gz = rng.uniform(-1.0, 1.0, (3 * s, 4 * s, 5 * s, 4))
+    _, gw = _scatter_bwd(x, w, (s, s, s), gz)
+    assert np.array_equal(gw, _dense_bwd(gz, w.swapaxes(0, 1), (s, s, s), x)[1].swapaxes(0, 1))
