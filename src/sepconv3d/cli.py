@@ -115,7 +115,8 @@ def _parse_size(text: str):
 
 
 def _pin_threads(n: int) -> None:
-    n = max(1, int(n))
+    if n < 1:
+        raise _UsageError("--threads must be >= 1")
     for var in _THREAD_VARS:
         os.environ[var] = str(n)
 
@@ -361,7 +362,7 @@ def _cmd_bench(args) -> int:
             "input": list(dims),
             "k": args.k,
             "out_channels": out_c,
-            "threads": max(1, args.threads),
+            "threads": args.threads,
             "iters": args.iters,
             "warmup": args.warmup,
             "macs": macs,
@@ -419,12 +420,11 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_FAIL
 
-    if args.command == "bench":
-        # Must happen before the numeric modules are imported anywhere in
-        # this process, otherwise the pools are already sized.
-        _pin_threads(args.threads)
-
     try:
+        if args.command == "bench":
+            # Must happen before the numeric modules are imported anywhere
+            # in this process, otherwise the pools are already sized.
+            _pin_threads(args.threads)
         return _HANDLERS[args.command](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -38,7 +38,12 @@ All windows use zero "same" padding (``netcfg.same_pad``), so output
 extents are ceil(n / stride) along strided axes, and n * stride after a
 scatter stage.  Kernel extents must be odd.
 Partial sums always accumulate in float64; outputs are cast back to the
-input's storage dtype at the end.
+input's storage dtype at the end.  A float32 input gets no float64 copy
+of its own: the first stage's own copy of it -- the padded buffer of a
+window, one per phase of a scatter, or a mix's flattened sites -- is
+made in float64, and so is the cast.  The backward's stages read their
+saved inputs the same way, except a scatter stage, whose tap walk reads
+its input once per tap and so casts it once.
 
 Engine rule: every stage runs channels-last.  The fold views the layer
 input as (d, h, w, c) -- dwsc as (c, h, w, d), so its slices are
@@ -332,19 +337,21 @@ def _stages(bank: KernelBank, s: int, kind: str = "conv3d"):
 
 
 # ----------------------------------------------------------------------
-# cores (float64 in, float64 out)
+# cores (float32 or float64 in, float64 out)
 # ----------------------------------------------------------------------
 
 
 def _padded(x: np.ndarray, pads) -> np.ndarray:
     """x (A, B, C, n) zero-padded by a (low, high) pair per axis A, B, C,
-    as one fresh C-contiguous buffer: np.empty with only the halo faces
-    zeroed, then the interior filled in place (np.pad costs 15 us of
-    set-up per call, which small layers and the finite differences pay
-    per forward).  When nothing pads, x is only made contiguous, so that
-    a window einsum never inherits a strided view's layout."""
+    as one fresh C-contiguous float64 buffer: np.empty with only the halo
+    faces zeroed, then the interior filled in place (np.pad costs 15 us
+    of set-up per call, which small layers and the finite differences
+    pay per forward).  x may be float32 or float64, so this copy is also
+    the cast.  When nothing pads, x is only made contiguous float64 (a
+    float64 x that already is comes back itself), so that a window
+    einsum never inherits a strided view's layout."""
     if not any(lo or hi for lo, hi in pads):
-        return np.ascontiguousarray(x)
+        return np.ascontiguousarray(x, dtype=np.float64)
     xp = np.empty([m + lo + hi for m, (lo, hi) in zip(x.shape, pads)] + [x.shape[3]])
     (a, a1), (b, b1), (c, c1) = pads
     A, B, C = xp.shape[:3]
@@ -473,13 +480,14 @@ def _scatter_core(x: np.ndarray, w: np.ndarray, strides) -> np.ndarray:
 def _pointwise_core(x: np.ndarray, pw: np.ndarray, strides=None) -> np.ndarray:
     """1x1x1 mix along the last axis: x (A, B, C, n_in) -> (A, B, C, n_out).
 
-    One matrix product over the sites, flattened C-contiguous (a copy
-    unless x already is), so the rounding does not depend on x's layout.
+    One matrix product over the sites, flattened C-contiguous in float64
+    (a copy, which is also the cast, unless x already is both), so the
+    rounding does not depend on x's layout or dtype.
     The product is written channels-first, pw @ sites.T -> (n_out, A, B,
     C), and returned as its channels-last view: a mix only ever ends a
     stage list, so the fold's exit finds its channels-first layout made.
     """
-    sites = np.ascontiguousarray(x.reshape(-1, x.shape[-1]))
+    sites = np.ascontiguousarray(x, dtype=np.float64).reshape(-1, x.shape[-1])
     return (pw @ sites.T).reshape(pw.shape[:1] + x.shape[:-1]).transpose(1, 2, 3, 0)
 
 
@@ -519,9 +527,11 @@ def _channels_first(h: np.ndarray, order) -> np.ndarray:
 
 def _fold(x: np.ndarray, stages, order, inputs: Optional[list] = None) -> np.ndarray:
     """Run `stages` over the channels-last view x.transpose(order); appends
-    each stage's input to `inputs` if given.  Returns the result as one
-    channels-first array that the caller owns (`_channels_first`).  `x`
-    stays referenced until the exit is made."""
+    each stage's input to `inputs` if given.  x is the layer input as the
+    caller holds it, float32 or float64: the first stage casts it as it
+    copies it, and it is only ever read.  Returns the result as one
+    channels-first float64 array that the caller owns
+    (`_channels_first`)."""
     h = x.transpose(order)
     for kind, _, w, strides in stages:
         if inputs is not None:
@@ -542,10 +552,6 @@ def _affine_core(z: np.ndarray, bias, scale, shift) -> np.ndarray:
         z *= scale[:, None, None, None]
         z += shift[:, None, None, None]
     return z
-
-
-def _as_f64(x: Volume4) -> np.ndarray:
-    return np.asarray(x.array, dtype=np.float64)
 
 
 def _finish(arr: np.ndarray, like: Volume4) -> Volume4:
@@ -573,7 +579,7 @@ def _run(x: Volume4, bank: KernelBank, stages) -> Volume4:
     """Fold x through `stages` on the bank's stage view, then apply the
     per-channel affine."""
     _want_input(x, bank)
-    z = _fold(_as_f64(x), stages, _stage_order(bank))
+    z = _fold(x.array, stages, _stage_order(bank))
     return _finish(_affine_core(z, bank.bias, bank.bn_scale, bank.bn_shift), x)
 
 
@@ -652,7 +658,7 @@ def depthwise_cube(x: Volume4, weights, stride: int = 1) -> Volume4:
         raise KernelError(f"weights must be (c={x.c}, k, k, k), got {w.shape}")
     if len({w.shape[1], w.shape[2], w.shape[3]}) != 1 or w.shape[1] % 2 == 0:
         raise KernelError(f"window must be cubic with odd extent, got {w.shape[1:]}")
-    return _finish(_fold(_as_f64(x), [("window", None, w, (s, s, s))], _CHANNELS_LAST), x)
+    return _finish(_fold(x.array, [("window", None, w, (s, s, s))], _CHANNELS_LAST), x)
 
 
 def pointwise_mix(x: Volume4, weights) -> Volume4:
@@ -660,7 +666,7 @@ def pointwise_mix(x: Volume4, weights) -> Volume4:
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 2 or w.shape[1] != x.c:
         raise KernelError(f"weights must be (c_out, c_in={x.c}), got {w.shape}")
-    return _finish(_fold(_as_f64(x), [("mix", None, w, None)], _CHANNELS_LAST), x)
+    return _finish(_fold(x.array, [("mix", None, w, None)], _CHANNELS_LAST), x)
 
 
 def output_dims(variant: str, in_dims: Shape4, k: int, stride: int, c_out: int) -> Shape4:
@@ -729,8 +735,11 @@ def _scatter_bwd(x: np.ndarray, w: np.ndarray, strides, gz: np.ndarray):
 
     The input gradient is the dense window of gz with the channel axes
     swapped.  The weight gradient is the tap walk's weight half with x
-    and gz in swapped roles, its channel axes swapped back.
+    and gz in swapped roles, its channel axes swapped back.  x may be the
+    layer's float32 input: the walk reads it once per tap, so it is cast
+    once here, in its own memory order.
     """
+    x = np.asarray(x, dtype=np.float64)
     wt = w.swapaxes(0, 1)
     gw = _tap_walk(_padded(gz, [same_pad(k) for k in w.shape[2:]]), wt, strides, x)
     return _conv_full_core(gz, wt, strides), gw.swapaxes(0, 1)
@@ -777,7 +786,7 @@ def _backward(x: Volume4, bank: KernelBank, grad_out: Volume4, stages):
     g = np.asarray(grad_out.array, dtype=np.float64)
     order = _stage_order(bank)
     inputs = []
-    z = _fold(_as_f64(x), stages, order, inputs)
+    z = _fold(x.array, stages, order, inputs)
     if g.shape != z.shape:
         raise KernelError(f"grad_out shape {g.shape} does not match forward output {z.shape}")
     g, extras = _affine_bwd(z, bank, g)

@@ -409,6 +409,21 @@ def test_bench_thread_pinning_env(capsys, monkeypatch):
     assert all(os.environ[v] == "3" for v in cli._THREAD_VARS)
 
 
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_bench_rejects_threads_below_one(capsys, monkeypatch, threads):
+    # rejected before the pin, so the environment keeps its values
+    for var in cli._THREAD_VARS:
+        monkeypatch.setenv(var, "sentinel")
+    code, out, err = _run(
+        capsys, "bench", "--op", "fwsc", "--size", "2x3x4x5",
+        "--iters", "3", "--warmup", "1", "--threads", threads, "--format", "json",
+    )
+    assert code == 1
+    assert "--threads must be >= 1" in err
+    assert out == ""
+    assert all(os.environ[v] == "sentinel" for v in cli._THREAD_VARS)
+
+
 @pytest.mark.parametrize(
     "argv, needle",
     [

@@ -187,16 +187,6 @@ def test_dwsc_is_fwsc_machinery_on_permuted_volume():
     assert np.array_equal(a.array, b.array)
 
 
-def test_f64_accumulation_for_f32_volumes():
-    # an f32 input takes the same arithmetic path as its exact f64 image
-    x32 = Volume4.random((2, 4, 5, 6), seed=15)
-    bank = KernelBank.random("full", 3, 2, 3, seed=16, bias=True)
-    y32 = conv3d_full(x32, bank)
-    y64 = conv3d_full(x32.astype(np.float64), bank)
-    assert y32.dtype == np.float32
-    assert np.array_equal(y32.array, y64.array.astype(np.float32))
-
-
 # ----------------------------------------------------------------------
 # standalone stages and the affine tail
 # ----------------------------------------------------------------------
@@ -1019,3 +1009,93 @@ def test_scatter_weight_gradient_is_the_dense_walks_weight_half(k, s):
     gz = rng.uniform(-1.0, 1.0, (3 * s, 4 * s, 5 * s, 4))
     _, gw = _scatter_bwd(x, w, (s, s, s), gz)
     assert np.array_equal(gw, _dense_bwd(gz, w.swapaxes(0, 1), (s, s, s), x)[1].swapaxes(0, 1))
+
+
+# ----------------------------------------------------------------------
+# float32 inputs: the first stage's own copy is the cast
+# ----------------------------------------------------------------------
+
+
+def _f32_cases():
+    """One case per public kernel op, over k in {1, 3}, stride in {1, 2}
+    and 1 or 3 channels (at 1 the channels-last view of the input is
+    already contiguous); each bank carries a bias and a batch-norm
+    affine.  A case runs the op on an input volume and returns its output
+    array, or the input gradient followed by the bank gradients."""
+    for k, s, c in itertools.product((1, 3), (1, 2), (1, 3)):
+        dims, tag = (c, 4, 5, 6), f"k{k}-s{s}-c{c}"
+        for v in VARIANTS:
+            bank = KernelBank.random(v, k, c, c if v == "dwsc" else 2, d_in=4 if v == "dwsc" else None,
+                                     seed=k + s + c, bias=True, bn=True)
+            g = Volume4.random(output_dims(v, dims, k, s, bank.c_out), seed=7, dtype=np.float64)
+            yield pytest.param(dims, lambda x, b=bank, s=s: [forward(x, b, s).array],
+                               id=f"forward-{v}-{tag}")
+            yield pytest.param(dims, lambda x, b=bank, s=s, g=g: _flat(backward(x, b, g, s)),
+                               id=f"backward-{v}-{tag}")
+        bank = KernelBank.random("full", k, c, 2, seed=k * s, bias=True, bn=True)
+        g = Volume4.random((2,) + tuple(n * s for n in dims[1:]), seed=8, dtype=np.float64)
+        w = uniform_open(k + c, c * k**3).reshape(c, k, k, k)
+        yield pytest.param(dims, lambda x, b=bank, s=s: [deconv3d_full(x, b, s).array],
+                           id=f"deconv3d_full-{tag}")
+        yield pytest.param(dims, lambda x, b=bank, s=s, g=g: _flat(deconv3d_backward(x, b, g, s)),
+                           id=f"deconv3d_backward-{tag}")
+        yield pytest.param(dims, lambda x, w=w, s=s: [depthwise_cube(x, w, s).array],
+                           id=f"depthwise_cube-{tag}")
+        if k == 1 and s == 1:
+            pw = uniform_open(c, 2 * c).reshape(2, c)
+            yield pytest.param(dims, lambda x, pw=pw: [pointwise_mix(x, pw).array],
+                               id=f"pointwise_mix-c{c}")
+
+
+def _flat(grads):
+    gx, gw = grads
+    return [gx.array] + [gw[name] for name in sorted(gw)]
+
+
+@pytest.mark.parametrize("dims, run", _f32_cases())
+def test_f32_input_equals_its_f64_image_bit_for_bit(dims, run):
+    x32 = Volume4.random(dims, seed=sum(dims), dtype=np.float32)
+    x64 = x32.astype(np.float64)
+    before = [x32.array.tobytes(), x64.array.tobytes()]
+    got, want = run(x32), run(x64)
+    assert len(got) == len(want)
+    if len(got) == 1:  # an output: cast back to the input's dtype
+        assert got[0].dtype == np.float32
+        assert np.array_equal(got[0], want[0].astype(np.float32))
+    else:  # gradients: float64 whatever the input's dtype
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == np.float64
+            assert np.array_equal(a, b)
+    # neither input is ever written, though stages read both through views
+    assert [x32.array.tobytes(), x64.array.tobytes()] == before
+
+
+def test_f32_forward_peak_holds_no_f64_copy_of_the_input(monkeypatch):
+    # A float32 fwsc layer's peak is the padded float64 input and the
+    # float64 window output it feeds, or later the float32 output; the
+    # bound allows all three at once plus 64 KiB for weights and views.
+    # A separate float64 copy of the input (what a cast before the first
+    # stage makes, 589,824 B here) held through the window breaks it.
+    import tracemalloc
+
+    from sepconv3d import kernels
+
+    c, d, h, w = 16, 12, 16, 24
+    x = Volume4.random((c, d, h, w), seed=3, dtype=np.float32)
+    bank = KernelBank.random("fwsc", 3, c, c, seed=4)
+    sites = d * h * w * c
+    bound = 8 * c * (d + 2) * (h + 2) * (w + 2) + 8 * sites + 4 * sites + 64 * 1024
+
+    def peak():
+        tracemalloc.start()
+        try:
+            forward(x, bank)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak() <= bound
+    fold = kernels._fold
+    monkeypatch.setattr(kernels, "_fold",
+                        lambda x, *a, **kw: fold(np.asarray(x, dtype=np.float64), *a, **kw))
+    assert peak() > bound
