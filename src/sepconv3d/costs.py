@@ -9,8 +9,11 @@ list (``netcfg.layer_stages``) the runtime kernels run.  Conventions:
   site.
 * A layer's costs are read off its stage list, through the same
   ``netcfg.stage_sweep`` that gives its output shape.  The sweep carries
-  the layer's (n, a, b, c) extents through the stages: the input's
-  (c, d, h, w), or (d, c, h, w) for dwsc, whose stages run on that view.
+  the layer's (n, a, b, c) extents through the stages, starting at the
+  input's ``netcfg.stage_view``: (c, d, h, w), or (d, c, h, w) for dwsc,
+  whose stages run on that view.  ``count_network`` bills the sweeps of
+  the chain walk that validates the config and gives its shapes, so each
+  layer is swept once per count.
   Each stage is billed to the field its bank array names: "weights" to
   ``macs_core``, "spatial" to ``macs_depthwise``, any other array to
   ``macs_<array>``.  ``params_weights`` is the sum of the stored array
@@ -43,7 +46,7 @@ import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
-from .netcfg import LayerSpec, NetworkConfig, Shape4, infer_shapes, same_pad, stage_sweep
+from .netcfg import LayerSpec, NetworkConfig, Shape4, _sweep_chain, same_pad, stage_sweep
 
 __all__ = [
     "CostBreakdown",
@@ -129,7 +132,11 @@ _FIELD = {"weights": "macs_core", "spatial": "macs_depthwise"}
 
 def count_layer(layer: LayerSpec, in_shape: Shape4) -> CostBreakdown:
     """Exact costs of one layer given its input extents."""
-    swept, out = stage_sweep(layer, in_shape)
+    return _bill(layer, *stage_sweep(layer, in_shape))
+
+
+def _bill(layer: LayerSpec, swept, out: Shape4) -> CostBreakdown:
+    """Costs of one layer from its ``stage_sweep`` (swept, out)."""
     kw = {"params_weights": 0}
     for (kind, name, shape, view, strides), before, after in swept:
         if kind == "scatter":
@@ -165,11 +172,12 @@ class NetworkCosts:
 
 
 def count_network(cfg: NetworkConfig) -> NetworkCosts:
-    """Per-layer breakdowns plus exact totals for a whole config."""
+    """Per-layer breakdowns plus exact totals for a whole config, billed
+    off the one sweep per layer that also validates the chain."""
     rows = []
     total = CostBreakdown()
-    for layer, (sin, sout) in zip(cfg.layers, infer_shapes(cfg)):
-        cost = count_layer(layer, sin)
+    for layer, (sin, swept, sout) in zip(cfg.layers, _sweep_chain(cfg)):
+        cost = _bill(layer, swept, sout)
         rows.append(LayerCost(layer, sin, sout, cost))
         total = total + cost
     return NetworkCosts(name=cfg.name, layers=tuple(rows), total=total)

@@ -101,6 +101,7 @@ from .netcfg import (
     out_extent,
     same_pad,
     stage_layout,
+    stage_view,
 )
 from .volume import Shape4, Volume4, load_volume, save_volume, uniform_open
 
@@ -503,9 +504,12 @@ _CHANNELS_LAST = (1, 2, 3, 0)
 
 
 def _stage_order(bank: KernelBank):
-    """Axis order of the bank's channels-last stage view: (d, h, w, c), or
-    (c, h, w, d) for dwsc, whose stages slice disparities."""
-    return (0, 2, 3, 1) if bank.variant == "dwsc" else _CHANNELS_LAST
+    """Axis order of the bank's channels-last stage view: its
+    ``stage_view`` with the channel (slice) axis moved last, so
+    (d, h, w, c), or (c, h, w, d) for dwsc, whose stages slice
+    disparities."""
+    n, *grid = stage_view(bank.variant)
+    return (*grid, n)
 
 
 def _channels_first(h: np.ndarray, order) -> np.ndarray:

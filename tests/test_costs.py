@@ -7,8 +7,10 @@ import itertools
 from fractions import Fraction
 from importlib import resources
 
+import numpy as np
 import pytest
 
+from sepconv3d import costs, netcfg
 from sepconv3d.costs import (
     CostBreakdown,
     count_layer,
@@ -22,6 +24,8 @@ from sepconv3d.netcfg import (
     ConfigError,
     LayerSpec,
     NetworkConfig,
+    dumps_config,
+    infer_shapes,
     layer_output_shape,
     parse_config,
     substitute_variant,
@@ -212,6 +216,40 @@ def test_cost_breakdown_arithmetic():
         CostBreakdown(macs_core=1.5)
 
 
+@pytest.mark.parametrize("kind, variant", [("conv3d", "fwsc"), ("deconv3d", "full")])
+@pytest.mark.parametrize("field", ["k", "stride", "out_channels", "c"])
+def test_numpy_integers_cost_like_python_ints(kind, variant, field):
+    spec = _spec(variant, kind=kind, stride=2, bias=True, bn=True)
+    want = count_layer(spec, SHAPE)
+    shape = SHAPE
+    if field == "c":
+        shape = SHAPE._replace(c=np.int64(SHAPE.c))
+    else:
+        spec = dataclasses.replace(spec, **{field: np.int64(getattr(spec, field))})
+    got = count_layer(spec, shape)
+    assert got == want
+    assert all(type(getattr(got, f.name)) is int for f in dataclasses.fields(got))
+    out = layer_output_shape(spec, shape)
+    assert out == layer_output_shape(_spec(variant, kind=kind, stride=2), SHAPE)
+    assert all(type(n) is int for n in out)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [Shape4(2, 0, 4, 4), Shape4(True, 4, 4, 4), Shape4(2.5, 4, 4, 4),
+     Shape4(2, 4, 4, np.float64(4)), (2, 4, 4)],
+)
+def test_sweep_rejects_bad_input_extents(shape):
+    spec = LayerSpec("x", "conv3d", "full", 3, 2, 4, False, True)
+    match = r"layer 'x': input extents must be 4 integers >= 1, got "
+    for query in (count_layer, layer_output_shape):
+        with pytest.raises(ConfigError, match=match):
+            query(spec, shape)
+    if len(shape) == 4:
+        with pytest.raises(ConfigError, match=match):
+            count_network(NetworkConfig(name="n", input=shape, layers=(spec,)))
+
+
 # ----------------------------------------------------------------------
 # network totals
 # ----------------------------------------------------------------------
@@ -265,6 +303,46 @@ def test_count_network_rejects_bad_layer_fields(field, value):
                         layers=(dataclasses.replace(layer, **{field: value}),))
     with pytest.raises(ConfigError, match="layer 'bad': k, stride and out_channels"):
         count_network(cfg)
+
+
+def test_count_network_sweeps_each_layer_once(monkeypatch):
+    # the chain walk's sweeps are the ones billed; no layer is swept again
+    swept = []
+    orig = netcfg.stage_sweep
+
+    def spy(layer, in_shape):
+        swept.append(layer.id)
+        return orig(layer, in_shape)
+
+    for mod in (netcfg, costs):
+        monkeypatch.setattr(mod, "stage_sweep", spy)
+    cfg = _mini_config()
+    net = count_network(cfg)
+    assert swept == [l.id for l in cfg.layers]
+    assert [lc.cost for lc in net.layers] == [
+        count_layer(l, sin) for l, (sin, _) in zip(cfg.layers, infer_shapes(cfg))
+    ]
+
+
+_DOWN = LayerSpec("a", "conv3d", "full", 3, 2, 8, False, False)
+
+
+@pytest.mark.parametrize(
+    "second, match",
+    [
+        (_DOWN, "duplicate layer id 'a'"),
+        (dataclasses.replace(_DOWN, id="b", adds_from="a"),
+         r"layer 'b': skip source 'a' produces \(8, 4, 5, 6\), which cannot be added "
+         r"to \(8, 2, 3, 3\)"),
+        (dataclasses.replace(_DOWN, id="b", adds_from="b"),
+         "layer 'b': 'adds_from' must name an earlier layer, got 'b'"),
+    ],
+)
+def test_hand_built_chain_is_validated(second, match):
+    cfg = NetworkConfig(name="n", input=Shape4(4, 8, 10, 12), layers=(_DOWN, second))
+    for query in (count_network, infer_shapes):
+        with pytest.raises(ConfigError, match=match):
+            query(cfg)
 
 
 def test_reduction_report():
@@ -337,3 +415,26 @@ def test_network_totals_match_recorded_sweep():
             lines.append(f"{name} {variant} {total}")
     assert sum(line.endswith("ConfigError") for line in lines) == 6
     assert _sha256(lines) == _NETWORK_SWEEP_SHA256
+
+
+# recorded before one chain walk served validation, shapes and costs:
+# every shipped config under every variant, as its serialized text, its
+# shapes and its costs, or the rewrite's error text
+_CHAIN_SWEEP_SHA256 = "c2dedd3637210f7a2a3d91e7d66f8f71f3efef48b94bff5238556fd2079c8e41"
+
+
+def test_config_chains_match_recorded_sweep():
+    configs = resources.files("sepconv3d.configs")
+    names = sorted(p.name for p in configs.iterdir() if p.name.endswith(".json"))
+    lines = []
+    for name in names:
+        cfg = parse_config(configs.joinpath(name).read_text())
+        for variant in VARIANTS:
+            try:
+                sub = substitute_variant(cfg, variant)
+            except ConfigError as e:
+                lines.append(f"{name} {variant} ConfigError {e}")
+                continue
+            lines += [dumps_config(sub), repr(infer_shapes(sub)), repr(count_network(sub))]
+    assert len(lines) == 60
+    assert _sha256(lines) == _CHAIN_SWEEP_SHA256

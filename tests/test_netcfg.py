@@ -5,6 +5,7 @@ import json
 import dataclasses
 from importlib import resources
 
+import numpy as np
 import pytest
 
 from sepconv3d import kernels, netcfg
@@ -401,6 +402,22 @@ def test_predicted_shapes_follow_the_stage_list(monkeypatch):
     x = Volume4.random((2, 5, 6, 7), seed=3)
     assert _run_layer(layer, x, 4).dims == Shape4(4, 5, 3, 4)
     assert layer_output_shape(layer, x.dims) == Shape4(4, 5, 3, 4)
+
+
+def test_dwsc_stage_view_is_read_by_shapes_and_kernels(monkeypatch):
+    # one function names dwsc's (d, c, h, w) view: a mutant that drops the
+    # swap moves the predicted shape and the operator's output together
+    layer = LayerSpec("d1", "conv3d", "dwsc", 3, 2, 2, False, False)
+    assert layer_output_shape(layer, Shape4(2, 4, 6, 6)) == Shape4(2, 4, 3, 3)
+    x = Volume4.random((2, 2, 5, 6), seed=5)  # c == d, so both views can run
+    want = _run_layer(layer, x, 6)
+    for mod in (netcfg, kernels):
+        monkeypatch.setattr(mod, "stage_view", lambda variant: (0, 1, 2, 3))
+    with pytest.raises(ConfigError, match="out_channels must equal 4, got 2"):
+        layer_output_shape(layer, Shape4(2, 4, 6, 6))
+    got = _run_layer(layer, x, 6)
+    assert got.dims == want.dims
+    assert not np.allclose(got.array, want.array)
 
 
 @pytest.mark.parametrize("field", ["k", "stride", "out_channels"])
