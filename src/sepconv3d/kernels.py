@@ -62,11 +62,18 @@ per output phase).  Taps are gathered in place, never packed into
 im2col-style buffers, so wall-time tracks the stage's multiply count
 and the benchmark compares layouts rather than copy machinery.  The
 contraction streams the channel (or slice) axis innermost, contiguous
-in both operands: dense and scatter stages share one dense-window
-engine, whose innermost window axis and channel axis are read as one
-contiguous reduction axis, and per-slice stages window only their
-non-unit kernel axes.  1x1x1 mixes are plain matrix products over the
-flattened sites.
+in both operands, and fuses it with a neighbouring axis into one long
+contiguous run, because at these sizes an einsum's innermost loop pays
+more in per-loop overhead than in memory traffic: dense and scatter
+stages share one dense-window engine, whose innermost window axis and
+channel axis are read as one reduction axis of kc*c_in values, and
+per-slice stages window only their non-unit kernel axes and read the
+output's w sites and their slices as one run of C'*n values, against
+weights tiled along it (``_slice_window``).  1x1x1 mixes are plain
+matrix products over the flattened sites.  Two window stages in a row
+(fdwsc's) share one padded buffer: the first writes its result into
+the interior of the second's zero-haloed buffer, so the second pads
+nothing, and the backward keeps that buffer as the second's input.
 
 The backward runs on the same engines.  A strided window's gradient
 with respect to its input is its transpose, a scatter: one phase loop
@@ -87,10 +94,10 @@ import itertools
 import json
 import math
 import os
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .netcfg import (
     VARIANTS,
@@ -342,40 +349,74 @@ def _stages(bank: KernelBank, s: int, kind: str = "conv3d"):
 # ----------------------------------------------------------------------
 
 
-def _padded(x: np.ndarray, pads) -> np.ndarray:
-    """x (A, B, C, n) zero-padded by a (low, high) pair per axis A, B, C,
-    as one fresh C-contiguous float64 buffer: np.empty with only the halo
-    faces zeroed, then the interior filled in place (np.pad costs 15 us
-    of set-up per call, which small layers and the finite differences
-    pay per forward).  x may be float32 or float64, so this copy is also
-    the cast.  When nothing pads, x is only made contiguous float64 (a
-    float64 x that already is comes back itself), so that a window
-    einsum never inherits a strided view's layout."""
-    if not any(lo or hi for lo, hi in pads):
-        return np.ascontiguousarray(x, dtype=np.float64)
-    xp = np.empty([m + lo + hi for m, (lo, hi) in zip(x.shape, pads)] + [x.shape[3]])
+class _Haloed(NamedTuple):
+    """A stage input held as its zero-haloed padded buffer: `buf` is the
+    (A, B, C, n) input zero-padded by `pads`, a (low, high) pair per axis
+    A, B, C.  `shape` is the unpadded input's."""
+
+    buf: np.ndarray
+    pads: list
+
+    @property
+    def shape(self) -> tuple:
+        inner = [m - lo - hi for m, (lo, hi) in zip(self.buf.shape, self.pads)]
+        return (*inner, self.buf.shape[3])
+
+
+def _halo_buffer(shape, pads):
+    """A fresh C-contiguous float64 buffer for an (A, B, C, n) array of
+    `shape` zero-padded by `pads`: np.empty with only the halo faces
+    zeroed.  Returns (buffer, interior view) for the caller to fill."""
+    xp = np.empty([m + lo + hi for m, (lo, hi) in zip(shape, pads)] + [shape[3]])
     (a, a1), (b, b1), (c, c1) = pads
     A, B, C = xp.shape[:3]
     xp[:a] = xp[A - a1:] = 0.0
     xp[:, :b] = xp[:, B - b1:] = 0.0
     xp[:, :, :c] = xp[:, :, C - c1:] = 0.0
-    xp[a : A - a1, b : B - b1, c : C - c1] = x
+    return xp, xp[a : A - a1, b : B - b1, c : C - c1]
+
+
+def _padded(x: np.ndarray, pads) -> np.ndarray:
+    """x (A, B, C, n) zero-padded by a (low, high) pair per axis A, B, C,
+    as one fresh C-contiguous float64 `_halo_buffer` with the interior
+    filled in place (np.pad costs 15 us of set-up per call, which small
+    layers and the finite differences pay per forward).  x may be
+    float32 or float64, so this copy is also the cast.  When nothing
+    pads, x is only made contiguous float64 (a float64 x that already is
+    comes back itself), so that a window einsum never inherits a strided
+    view's layout."""
+    if not any(lo or hi for lo, hi in pads):
+        return np.ascontiguousarray(x, dtype=np.float64)
+    xp, inner = _halo_buffer(x.shape, pads)
+    inner[...] = x
     return xp
 
 
-def _window_view(x: np.ndarray, ks, pads, strides):
+def _window_view(x, ks, pads, strides, fuse=False):
     """The pad-and-window step of the per-slice engine.
 
-    x: (A, B, C, n); ks: window extents (ka, kb, kc); pads: a (low, high)
-    zero pad per window axis.  Returns (view, taps): the strided window
-    view (A', B', C', n, *window) of `_padded(x, pads)` over the axes
-    whose extent is not 1, and the einsum labels of those window axes.
+    x: (A, B, C, n), or `_Haloed` with these pads, whose buffer is used
+    as it is; ks: window extents (ka, kb, kc); pads: a (low, high) zero
+    pad per window axis.  Returns (view, taps): the strided window view
+    (A', B', C', n, *window) of `_padded(x, pads)` over the axes whose
+    extent is not 1, and the einsum labels of those window axes.  With
+    `fuse` (stride 1 along C) the view is (A', B', 1, C'*n, *window):
+    the padded buffer is C-contiguous, so at every tap the C' sites'
+    slices are one contiguous run of C'*n values.
     """
-    x = _padded(x, pads)
-    axes = tuple(ax for ax, k in enumerate(ks) if k > 1)
-    if axes:
-        x = sliding_window_view(x, tuple(ks[ax] for ax in axes), axis=axes)
-    return x[:: strides[0], :: strides[1], :: strides[2]], "".join("abc"[ax] for ax in axes)
+    xp = x.buf if isinstance(x, _Haloed) else _padded(x, pads)
+    axes = [ax for ax in range(3) if ks[ax] > 1]
+    grid = [(m - k) // s + 1 for m, k, s in zip(xp.shape, ks, strides)]
+    n = xp.shape[3]
+    win = as_strided(
+        xp,
+        shape=grid[:2] + ([1, grid[2] * n] if fuse else [grid[2], n]) + [ks[ax] for ax in axes],
+        strides=[st * s for st, s in zip(xp.strides, strides)]
+        + [xp.itemsize]
+        + [xp.strides[ax] for ax in axes],
+        writeable=False,
+    )
+    return win, "".join("abc"[ax] for ax in axes)
 
 
 def _dense_window(x: np.ndarray, wt: np.ndarray, pads, strides, out=None) -> np.ndarray:
@@ -402,24 +443,57 @@ def _dense_window(x: np.ndarray, wt: np.ndarray, pads, strides, out=None) -> np.
     return np.einsum("zyxabK,abKo->zyxo", win, wt, out=out, optimize=False)
 
 
-def _slice_window(x: np.ndarray, w: np.ndarray, pads, strides, out=None) -> np.ndarray:
+def _slice_window(x, w: np.ndarray, pads, strides, out=None) -> np.ndarray:
     """Per-slice window, the one per-slice engine.
 
-    x: (A, B, C, n) float64; w: (n, ka, kb, kc).  Slice i of the output
-    only ever reads slice i of x.  One einsum over the strided window
-    view, streaming the slice axis innermost; axes whose kernel extent
-    is 1 are left out of the window, so the split-stage layouts (k*k
-    over h,w; k over d) gather exactly their own taps.  Returns the
-    (A', B', C', n) result, written into `out` when given.
+    x: (A, B, C, n) float32 or float64, or `_Haloed`; w: (n, ka, kb, kc).
+    Slice i of the output only ever reads slice i of x.  One einsum over
+    the strided window view; axes whose kernel extent is 1 are left out
+    of the window, so the split-stage layouts (k*k over h,w; k over d)
+    gather exactly their own taps.  The innermost loop runs over one
+    contiguous run per (A', B') row: the output's C' sites and their n
+    slices, C'*n values, against the weights tiled C' times along it --
+    the same trick as the dense engine's kc*ci axis.  A loop n values
+    long spends its time on per-loop overhead, not on memory traffic.
+    The run needs stride 1 along C and an `out` whose (C', n) block is
+    contiguous; otherwise (a strided phase of a scatter) the loop runs
+    over the n slices of each site, written straight into `out`.  Both
+    forms add each output's products one at a time in tap order, so
+    their results are bit-identical.  A single slice keeps the per-site
+    form: there einsum's innermost loop is the sum over the C taps,
+    which it totals before adding it to the output, so the run would
+    round differently.  Returns the (A', B', C', n) result, written into
+    `out` when given.
     """
-    win, taps = _window_view(x, w.shape[1:], pads, strides)
-    wt = np.ascontiguousarray(np.moveaxis(w.reshape(w.shape[:1] + win.shape[4:]), 0, -1))
-    return np.einsum(f"zyxn{taps},{taps}n->zyxn", win, wt, out=out, optimize=False)
+    n = w.shape[0]
+    fuse = n > 1 and strides[2] == 1 and (out is None or out[0, 0].flags.c_contiguous)
+    win, taps = _window_view(x, w.shape[1:], pads, strides, fuse)
+    run = win.shape[3]
+    wt = np.empty((math.prod(win.shape[4:]), run // n, n))
+    wt[...] = w.reshape(n, -1).T[:, None]
+    y = np.einsum(
+        f"zyxR{taps},{taps}R->zyxR",
+        win,
+        wt.reshape(win.shape[4:] + (run,)),
+        out=None if out is None else out.reshape(win.shape[:4]),
+        optimize=False,
+    )
+    return y.reshape(win.shape[:2] + (-1, n))
 
 
-def _depthwise_core(x: np.ndarray, w: np.ndarray, strides) -> np.ndarray:
-    """Per-slice window stage: x (A, B, C, n), unpadded; w (n, ka, kb, kc)."""
-    return _slice_window(x, w, [same_pad(k) for k in w.shape[1:]], strides)
+def _depthwise_core(x, w: np.ndarray, strides, halo=None):
+    """Per-slice window stage: x (A, B, C, n), unpadded or `_Haloed`; w
+    (n, ka, kb, kc).  With `halo`, a (low, high) pad per axis, the
+    result is written into the interior of a fresh `_halo_buffer` and
+    returned as `_Haloed`: the next window stage then reads it without
+    padding it again."""
+    pads = [same_pad(k) for k in w.shape[1:]]
+    if halo is None:
+        return _slice_window(x, w, pads, strides)
+    shape = [out_extent(m, s) for m, s in zip(x.shape, strides)] + [x.shape[3]]
+    buf, inner = _halo_buffer(shape, halo)
+    _slice_window(x, w, pads, strides, out=inner)
+    return _Haloed(buf, halo)
 
 
 def _conv_full_core(x: np.ndarray, w: np.ndarray, strides) -> np.ndarray:
@@ -533,14 +607,20 @@ def _fold(x: np.ndarray, stages, order, inputs: Optional[list] = None) -> np.nda
     """Run `stages` over the channels-last view x.transpose(order); appends
     each stage's input to `inputs` if given.  x is the layer input as the
     caller holds it, float32 or float64: the first stage casts it as it
-    copies it, and it is only ever read.  Returns the result as one
+    copies it, and it is only ever read.  A window stage followed by a
+    window stage (fdwsc's two) hands its result over inside the next
+    stage's zero-haloed padded buffer (`_Haloed`), which is also what
+    `inputs` keeps for that stage.  Returns the result as one
     channels-first float64 array that the caller owns
     (`_channels_first`)."""
     h = x.transpose(order)
-    for kind, _, w, strides in stages:
+    for (kind, _, w, strides), nxt in zip(stages, [*stages[1:], None]):
         if inputs is not None:
             inputs.append(h)
-        h = _STAGE_FWD[kind](h, w, strides)
+        if kind == "window" and nxt is not None and nxt[0] == "window":
+            h = _depthwise_core(h, w, strides, [same_pad(k) for k in nxt[2].shape[1:]])
+        else:
+            h = _STAGE_FWD[kind](h, w, strides)
     return _channels_first(h, order)
 
 
@@ -688,17 +768,21 @@ def output_dims(variant: str, in_dims: Shape4, k: int, stride: int, c_out: int) 
 # ----------------------------------------------------------------------
 
 
-def _window_bwd(x: np.ndarray, w: np.ndarray, strides, gz: np.ndarray):
+def _window_bwd(x, w: np.ndarray, strides, gz: np.ndarray):
     """Gradients of a per-slice window stage w.r.t. its input and weights.
 
-    The input gradient is the stage's transpose, a per-slice scatter of
-    gz cropped to x; the weight gradient is one einsum over the
-    forward's own window view.
+    x: the stage's input, unpadded or `_Haloed`.  The weight gradient is
+    one einsum over the forward's own window view; it is made first, so
+    that the padded input -- made here, or a `_Haloed` buffer the
+    backward passed on and holds nowhere else -- is freed before the
+    input gradient, the stage's transpose (a per-slice scatter of gz
+    cropped to x), allocates its own.
     """
-    gx = _phase_scatter(gz, w, strides, _slice_window, x.shape[3])
     win, taps = _window_view(x, w.shape[1:], [same_pad(k) for k in w.shape[1:]], strides)
     gw = np.einsum(f"zyxn{taps},zyxn->n{taps}", win, gz, optimize=False)
-    return gx[tuple(map(slice, x.shape[:3]))], gw.reshape(w.shape)
+    crop, n = tuple(map(slice, x.shape[:3])), x.shape[3]
+    del x, win
+    return _phase_scatter(gz, w, strides, _slice_window, n)[crop], gw.reshape(w.shape)
 
 
 def _tap_walk(xp: np.ndarray, w: np.ndarray, strides, gz: np.ndarray, gxp=None):

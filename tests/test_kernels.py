@@ -1099,3 +1099,136 @@ def test_f32_forward_peak_holds_no_f64_copy_of_the_input(monkeypatch):
     monkeypatch.setattr(kernels, "_fold",
                         lambda x, *a, **kw: fold(np.asarray(x, dtype=np.float64), *a, **kw))
     assert peak() > bound
+
+
+# ----------------------------------------------------------------------
+# the per-slice engine's fused run and fdwsc's window handoff
+# ----------------------------------------------------------------------
+
+
+def _per_element_slice_window(x, w, pads, strides, out=None):
+    """The per-slice engine as it ran before it read the output's w axis
+    and the slice axis as one run, kept here as the reference: one
+    einsum whose innermost loop is the n slices of one site."""
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    xp = np.pad(np.asarray(x, dtype=np.float64), list(pads) + [(0, 0)])
+    axes = tuple(ax for ax, k in enumerate(w.shape[1:]) if k > 1)
+    if axes:
+        xp = sliding_window_view(xp, tuple(w.shape[1 + ax] for ax in axes), axis=axes)
+    win = xp[:: strides[0], :: strides[1], :: strides[2]]
+    taps = "".join("abc"[ax] for ax in axes)
+    wt = np.ascontiguousarray(np.moveaxis(w.reshape(w.shape[:1] + win.shape[4:]), 0, -1))
+    return np.einsum(f"zyxn{taps},{taps}n->zyxn", win, wt, out=out, optimize=False)
+
+
+def _out_case(layout, shape):
+    """An `out` for a window result of `shape`: none, a fresh array, or a
+    strided view whose (C', n) block is contiguous ("phase-a") or not
+    ("phase-c"), as a scatter's output phases are."""
+    if layout == "none":
+        return None
+    if layout == "fresh":
+        return np.empty(shape)
+    if layout == "phase-a":
+        return np.empty((2 * shape[0],) + shape[1:])[1::2]
+    return np.empty(shape[:2] + (2 * shape[2], shape[3]))[:, :, 1::2]
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("layout", ["none", "fresh", "phase-a", "phase-c"])
+@pytest.mark.parametrize("shape", ["kkk", "1kk", "k11"])
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_slice_window_is_bit_identical_to_the_per_element_einsum(s, k, shape, layout, dtype, n):
+    from sepconv3d.kernels import _slice_window
+
+    ks = tuple(k if c == "k" else 1 for c in shape)
+    x = Volume4.random((n, 5, 6, 7), seed=k + s, dtype=dtype).array.transpose(1, 2, 3, 0)
+    w = KernelBank.random("fwsc", 5, n, seed=s).arrays["depthwise"][:, : ks[0], : ks[1], : ks[2]]
+    pads = [((m - 1) // 2, m // 2) for m in ks]
+    strides = (1, s, s) if shape == "1kk" else (s, s, s)
+    ref = _per_element_slice_window(x, w, pads, strides)
+    out = _out_case(layout, ref.shape)
+    got = _slice_window(x, w, pads, strides, out=out)
+    assert got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+    if out is not None:
+        assert np.shares_memory(got, out)
+        assert np.ascontiguousarray(out).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_fdwsc_pads_once_per_layer(monkeypatch, s):
+    # The spatial window pads the layer input; the disparity window reads
+    # the buffer the spatial one wrote into, so it pads nothing.  The
+    # backward pads x again for the spatial weight gradient, and each
+    # input gradient pads its upstream gradient once per scatter phase.
+    from sepconv3d import kernels
+
+    padded = kernels._padded
+    calls = []
+
+    def spy(x, pads):
+        calls.append(x.shape)
+        return padded(x, pads)
+
+    monkeypatch.setattr(kernels, "_padded", spy)
+    x = Volume4.random((3, 4, 6, 7), seed=s)
+    bank = KernelBank.random("fdwsc", 3, 3, 2, seed=s)
+    y = forward(x, bank, s)
+    assert calls == [(4, 6, 7, 3)]
+    calls.clear()
+    backward(x, bank, Volume4.random(y.array.shape, seed=9), s)
+    assert len(calls) == 1 + s + 1 + s * s
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_window_handoff_halo_is_zero(monkeypatch, k, s):
+    # np.empty is made to hand back NaNs, so a halo face of the buffer the
+    # spatial window writes into, left unzeroed, shows in every result
+    x = Volume4.random((3, 5, 6, 7), seed=k * s)
+    bank = KernelBank.random("fdwsc", k, 3, 2, seed=k + s, bias=True, bn=True)
+    y = forward(x, bank, s)
+    g = Volume4.random(y.array.shape, seed=k)
+    gx, grads = backward(x, bank, g, s)
+    monkeypatch.setattr(np, "empty", lambda shape, *a, **kw: np.full(shape, np.nan, *a, **kw))
+    assert forward(x, bank, s).array.tobytes() == y.array.tobytes()
+    gx2, grads2 = backward(x, bank, g, s)
+    assert gx2.array.tobytes() == gx.array.tobytes()
+    assert all(grads2[name].tobytes() == grads[name].tobytes() for name in grads)
+
+
+def test_strided_scatter_phases_write_straight_into_their_output(monkeypatch):
+    # At stride 2 each phase of a per-slice scatter (a window's input
+    # gradient) is a strided view of the output.  The peak is the output
+    # and one phase's padded input, plus 128 KiB for weights, views and
+    # the einsum's own iteration state; a phase computed apart and then
+    # copied in (196,608 B here) breaks it.
+    import tracemalloc
+
+    from sepconv3d import kernels
+
+    a, b, c, n, k, s = 8, 12, 16, 16, 3, 2
+    gz = np.random.default_rng(5).uniform(-1.0, 1.0, (a, b, c, n))
+    w = np.random.default_rng(6).uniform(-1.0, 1.0, (n, k, k, k))
+    bound = 8 * n * a * b * c * s**3 + 8 * n * (a + 1) * (b + 1) * (c + 1) + 128 * 1024
+
+    def peak():
+        tracemalloc.start()
+        try:
+            kernels._phase_scatter(gz, w, (s, s, s), kernels._slice_window, n)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak() <= bound
+    window = kernels._slice_window
+
+    def copied(x, w, pads, strides, out=None):
+        out[...] = window(x, w, pads, strides)
+
+    monkeypatch.setattr(kernels, "_slice_window", copied)
+    assert peak() > bound
