@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import statistics
 import sys
 import time
 
@@ -230,19 +229,20 @@ def _cmd_profile(args) -> int:
 
     from . import costs, netcfg
 
+    # Each count's walk rejects the chain it bills, so the rewrites do
+    # not walk; a resized chain is checked as written before a rewrite.
     cfg = netcfg.load_config(args.config)
     if args.input_size:
-        dims = _parse_size(args.input_size)
-        cfg = replace(cfg, input=netcfg.Shape4(*dims))
-        netcfg.validate(cfg)
+        cfg = replace(cfg, input=netcfg.Shape4(*_parse_size(args.input_size)))
+        if args.variant:
+            netcfg.validate(cfg)
     if args.variant:
-        cfg = netcfg.substitute_variant(cfg, args.variant)
+        cfg = netcfg._rewrite_variant(cfg, args.variant)
 
     net = costs.count_network(cfg)
     base = None
     if args.baseline:
-        base_cfg = netcfg.substitute_variant(cfg, args.baseline)
-        base = costs.count_network(base_cfg)
+        base = costs.count_network(netcfg._rewrite_variant(cfg, args.baseline))
 
     report = _profile_report(cfg, net, base)
     if args.format == "json":
@@ -326,6 +326,8 @@ def _cmd_bench(args) -> int:
     dims = _parse_size(args.size)
     c, d, h, w = dims
     seed = int(os.environ.get("SEPCONV_SEED", "42"))
+
+    import statistics
 
     from . import costs
     from .kernels import KernelBank, forward

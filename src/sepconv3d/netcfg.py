@@ -40,6 +40,9 @@ stride rule is written once.  A config's chain is walked once per
 question: one walk sweeps every layer once, checks layer ids and
 "adds_from" skips, and serves parsing, ``validate``,
 ``substitute_variant``, ``infer_shapes`` and ``costs.count_network``.
+Every walk validates the chain it sweeps, so a question that bills a
+chain needs no walk of its own to check it first: ``profile`` rewrites
+variants without walking and lets each count's walk reject its chain.
 The config schema is written once too, as the dataclass fields below
 (the input block's keys as ``_INPUT_KEYS``, in ``Shape4`` order); the
 parser's key checks and ``config_to_dict`` read them.
@@ -436,15 +439,24 @@ def load_config(path) -> NetworkConfig:
 # ----------------------------------------------------------------------
 
 
-def substitute_variant(cfg: NetworkConfig, target: str) -> NetworkConfig:
-    """Rewrite every conv3d layer to `target`, leaving deconv3d layers
-    untouched, and re-validate the chain."""
+def _rewrite_variant(cfg: NetworkConfig, target: str) -> NetworkConfig:
+    """`cfg` with every conv3d layer set to `target` and deconv3d layers
+    untouched.  The chain is not walked: the caller's walk validates it."""
     if target not in VARIANTS:
         raise ConfigError(f"variant must be one of {list(VARIANTS)}, got {target!r}")
-    layers = tuple(
+    return replace(cfg, layers=tuple(
         replace(l, variant=target) if l.kind == "conv3d" else l for l in cfg.layers
-    )
-    out = replace(cfg, layers=layers)
+    ))
+
+
+def substitute_variant(cfg: NetworkConfig, target: str) -> NetworkConfig:
+    """Rewrite every conv3d layer to `target`, leaving deconv3d layers
+    untouched, and validate the rewritten chain with one walk of its own.
+
+    ``profile`` rewrites without this walk, because the
+    ``costs.count_network`` walk that bills the rewritten chain also
+    rejects it, with the same message."""
+    out = _rewrite_variant(cfg, target)
     _sweep_chain(out)
     return out
 

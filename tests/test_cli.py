@@ -1,8 +1,11 @@
 """End-to-end CLI behavior via in-process main(argv): exit codes, output
 formats, and cross-format agreement."""
 
+import collections
 import csv
+import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -12,7 +15,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from sepconv3d import cli
+from sepconv3d import cli, costs, netcfg
 from sepconv3d.kernels import KernelBank, save_bank
 from sepconv3d.volume import Volume4, save_volume
 
@@ -189,6 +192,7 @@ def test_profile_does_not_import_numpy():
         "               '--variant', 'fdwsc', '--baseline', 'full', '--format', 'json'])\n"
         "assert rc == 0, rc\n"
         "assert 'numpy' not in sys.modules, 'profile imported numpy'\n"
+        "assert 'statistics' not in sys.modules, 'profile imported statistics'\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ)
@@ -198,6 +202,83 @@ def test_profile_does_not_import_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["name"] == "ganet11-desk"
+
+
+_PROFILE_FLAG_SETS = (
+    (),
+    ("--variant", "fdwsc"),
+    ("--variant", "fdwsc", "--baseline", "full"),
+    ("--input-size", "32x24x32x48"),
+    ("--input-size", "32x24x32x48", "--variant", "fdwsc", "--baseline", "full"),
+)
+
+
+@pytest.mark.parametrize("flags, sweeps", zip(_PROFILE_FLAG_SETS, (2, 2, 3, 2, 4)))
+def test_profile_sweeps_each_layer_once_per_walk(capsys, monkeypatch, flags, sweeps):
+    # parsing walks the native chain, each count walks the chain it
+    # bills, and --input-size with --variant checks the native chain at
+    # the new size before the rewrite
+    calls = collections.Counter()
+    orig = netcfg.stage_sweep
+
+    def spy(layer, in_shape):
+        calls[layer.id] += 1
+        return orig(layer, in_shape)
+
+    for mod in (netcfg, costs):
+        monkeypatch.setattr(mod, "stage_sweep", spy)
+    code, _, err = _run(capsys, "profile", "--config", _config_path("ganet11-desk"), *flags)
+    assert code == 0, err
+    assert len(calls) == 15
+    assert set(calls.values()) == {sweeps}
+
+
+def test_profile_rejects_the_chain_it_counts(capsys, tmp_path):
+    desk = _config_path("ganet11-desk")
+    code, out, err = _run(capsys, "profile", "--config", desk,
+                          "--variant", "dwsc", "--baseline", "full")
+    assert (code, out) == (1, "")
+    assert err == ("error: layer 'init_a': dwsc preserves the channel count; "
+                   "out_channels must equal 64, got 32\n")
+    code, out, err = _run(capsys, "profile", "--config", desk,
+                          "--input-size", "32x25x32x48", "--variant", "fdwsc")
+    assert (code, out) == (1, "")
+    assert err == ("error: layer 'fuse1': skip source 'down1_b' produces "
+                   "(32, 13, 16, 24), which cannot be added to (32, 14, 16, 24)\n")
+    # the native chain is checked at the new size even though the
+    # rewritten one would be valid there
+    p = tmp_path / "dw.json"
+    p.write_text(json.dumps({
+        "name": "dw",
+        "input": {"channels": 8, "disparity": 4, "height": 6, "width": 6},
+        "layers": [{"id": "a", "kind": "conv3d", "variant": "dwsc", "k": 3,
+                    "stride": 1, "out_channels": 8, "bias": False, "bn": False}],
+    }))
+    code, out, err = _run(capsys, "profile", "--config", str(p),
+                          "--input-size", "4x4x6x6", "--variant", "fwsc")
+    assert (code, out) == (1, "")
+    assert err == ("error: layer 'a': dwsc preserves the channel count; "
+                   "out_channels must equal 4, got 8\n")
+
+
+# recorded before the counts' walks validated the chains `profile`
+# rewrites: every shipped config under every flag set above, in every
+# format, as its exit code, stdout and stderr
+_PROFILE_SWEEP_SHA256 = "0790b0ceb6be9fe3b74733e808de49264da31a8c058c771844d7d8e1b536595d"
+
+
+def test_profile_output_matches_recorded_sweep(capsys):
+    configs = resources.files("sepconv3d.configs")
+    names = sorted(p.name for p in configs.iterdir() if p.name.endswith(".json"))
+    assert len(names) == 6
+    digest = hashlib.sha256()
+    for name, flags, fmt in itertools.product(
+        names, _PROFILE_FLAG_SETS, ("table", "csv", "json")
+    ):
+        code, out, err = _run(capsys, "profile", "--config", str(configs.joinpath(name)),
+                              *flags, "--format", fmt)
+        digest.update(f"{name} {' '.join(flags)} {fmt} {code}\n{out}{err}".encode())
+    assert digest.hexdigest() == _PROFILE_SWEEP_SHA256
 
 
 # ----------------------------------------------------------------------
