@@ -39,9 +39,9 @@ extents are ceil(n / stride) along strided axes, and n * stride after a
 scatter stage.  Kernel extents must be odd.
 Partial sums always accumulate in float64; outputs are cast back to the
 input's storage dtype at the end.  A float32 input gets no float64 copy
-of its own: the first stage's own copy of it -- the padded buffer of a
-window, one per phase of a scatter, or a mix's flattened sites -- is
-made in float64, and so is the cast.  The backward's stages read their
+of its own: the first stage's own copy of it -- a window's padded
+buffer, one per slab, a scatter's, one per slab of each phase, or a
+mix's flattened sites -- is made in float64, and so is the cast.  The backward's stages read their
 saved inputs the same way, except a scatter stage, whose tap walk reads
 its input once per tap and so casts it once.
 
@@ -57,8 +57,18 @@ upstream gradient in that layout without a copy.  Every other exit --
 a dense or scatter stage, a standalone window, the backward's input
 gradient -- is one copy made a leading slice at a time
 (``_channels_first``).  Every window stage -- dense or per-slice --
-runs as one einsum over a strided window view (a scatter stage: one
-per output phase).  Taps are gathered in place, never packed into
+runs as one einsum per slab of output planes over a strided window
+view (a scatter stage: per slab of each output phase).  A slab is
+``_SLAB`` planes along the leading stage axis (d, or c for dwsc); it
+reads only the input planes its windows reach, padded along that axis
+only where it meets the volume's edge, and writes its planes of the
+stage's output (``_by_slab``).  So at its peak a window stage holds its
+output, or the next window's zero-haloed buffer it writes into, plus
+one slab's padded float64 input, never a padded copy of its whole
+input.  A stage whose input is already padded (``_Haloed``) or whose
+output is one slab or less runs as one einsum.  Every output adds its
+products in the same order at any slab height, so results are
+bit-identical.  Taps are gathered in place, never packed into
 im2col-style buffers, so wall-time tracks the stage's multiply count
 and the benchmark compares layouts rather than copy machinery.  The
 contraction streams the channel (or slice) axis innermost, contiguous
@@ -69,7 +79,9 @@ stages share one dense-window engine, whose innermost window axis and
 channel axis are read as one reduction axis of kc*c_in values, and
 per-slice stages window only their non-unit kernel axes and read the
 output's w sites and their slices as one run of C'*n values, against
-weights tiled along it (``_slice_window``).  1x1x1 mixes are plain
+weights tiled along it (``_slice_window``); a window along d alone
+(fdwsc's k*1*1) runs that einsum once per h row, so each tap streams
+one row, not a whole plane.  1x1x1 mixes are plain
 matrix products over the flattened sites.  Two window stages in a row
 (fdwsc's) share one padded buffer: the first writes its result into
 the interior of the second's zero-haloed buffer, so the second pads
@@ -85,7 +97,10 @@ backward walks its taps, one pair of matrix products per tap, which is
 measured faster there than either einsum form; it is the only tap
 loop.  A scatter stage's input gradient is a dense window, and its
 weight gradient is that walk's weight half with the input and the
-upstream gradient in swapped roles.
+upstream gradient in swapped roles.  The window and scatter input
+gradients run on the slabbed engines; the weight gradients and the
+dense stage's walk pad a whole stage input, because slabbing them
+would reorder their float64 sums.
 """
 
 from __future__ import annotations
@@ -384,7 +399,9 @@ def _padded(x: np.ndarray, pads) -> np.ndarray:
     float32 or float64, so this copy is also the cast.  When nothing
     pads, x is only made contiguous float64 (a float64 x that already is
     comes back itself), so that a window einsum never inherits a strided
-    view's layout."""
+    view's layout.  The window engines call it once per slab, on the
+    input planes the slab reads (`_by_slab`); the backward's weight
+    gradients call it on a whole stage input."""
     if not any(lo or hi for lo, hi in pads):
         return np.ascontiguousarray(x, dtype=np.float64)
     xp, inner = _halo_buffer(x.shape, pads)
@@ -392,19 +409,62 @@ def _padded(x: np.ndarray, pads) -> np.ndarray:
     return xp
 
 
-def _window_view(x, ks, pads, strides, fuse=False):
-    """The pad-and-window step of the per-slice engine.
+def _buffer(x, pads) -> np.ndarray:
+    """The padded buffer of a stage input: a `_Haloed` input's own, or a
+    fresh `_padded` copy of an unpadded one."""
+    return x.buf if isinstance(x, _Haloed) else _padded(x, pads)
 
-    x: (A, B, C, n), or `_Haloed` with these pads, whose buffer is used
-    as it is; ks: window extents (ka, kb, kc); pads: a (low, high) zero
-    pad per window axis.  Returns (view, taps): the strided window view
-    (A', B', C', n, *window) of `_padded(x, pads)` over the axes whose
-    extent is not 1, and the einsum labels of those window axes.  With
-    `fuse` (stride 1 along C) the view is (A', B', 1, C'*n, *window):
-    the padded buffer is C-contiguous, so at every tap the C' sites'
-    slices are one contiguous run of C'*n values.
+
+# Output planes per slab along the leading stage axis (d, or c for dwsc).
+# At 8, a k=3 window over a 24x32x48 float64 volume of 32 channels holds
+# a 4.4 MB slab buffer instead of an 11.3 MB padded copy of its input;
+# both engines timed alike at heights 2 to 24 (2-vCPU Xeon, 1 thread).
+_SLAB = 8
+
+
+def _by_slab(engine, x, ks, pads, strides, out: np.ndarray) -> np.ndarray:
+    """Run a window engine one slab of `_SLAB` output planes at a time.
+
+    x: the (A, B, C, n) stage input, unpadded or `_Haloed`; ks, pads,
+    strides: the window's extents, (low, high) pads and strides per axis
+    A, B, C; out: the (A', B', C', n') result.  `engine(xp, out)` runs
+    the window over the padded input xp into out.  A slab reads only
+    the input planes its windows reach, zero-padded along A only where
+    it meets the volume's edge, and writes its planes of out, so a
+    stage holds its output and one slab's padded buffer instead of a
+    padded copy of its whole input.  A `_Haloed` input, padded already,
+    and an output of one slab or less run in one call over the whole
+    padded input.  A slab is a crop of the same window view, so every
+    output adds the same products in the same order either way.
+    Returns out.
     """
-    xp = x.buf if isinstance(x, _Haloed) else _padded(x, pads)
+    if isinstance(x, _Haloed) or out.shape[0] <= _SLAB:
+        engine(_buffer(x, pads), out)
+        return out
+    (lo, _), k, s, m = pads[0], ks[0], strides[0], x.shape[0]
+    for a in range(0, out.shape[0], _SLAB):
+        top = a * s - lo  # the slab's first input plane; negative inside the low pad
+        end = (min(a + _SLAB, out.shape[0]) - 1) * s - lo + k
+        pad = [(max(-top, 0), max(end - m, 0)), *pads[1:]]
+        engine(_padded(x[max(top, 0) : min(end, m)], pad), out[a : a + _SLAB])
+    return out
+
+
+def _grid(x, ks, pads, strides) -> list:
+    """Output extents along A, B, C of a window over x padded by pads."""
+    return [(m + lo + hi - k) // s + 1 for m, k, (lo, hi), s in zip(x.shape, ks, pads, strides)]
+
+
+def _window_view(xp: np.ndarray, ks, strides, fuse=False):
+    """The window step of the per-slice engine.
+
+    xp: a padded (A, B, C, n) buffer; ks: window extents (ka, kb, kc).
+    Returns (view, taps): the strided window view (A', B', C', n,
+    *window) of xp over the axes whose extent is not 1, and the einsum
+    labels of those window axes.  With `fuse` (stride 1 along C) the
+    view is (A', B', 1, C'*n, *window): xp is C-contiguous, so at every
+    tap the C' sites' slices are one contiguous run of C'*n values.
+    """
     axes = [ax for ax in range(3) if ks[ax] > 1]
     grid = [(m - k) // s + 1 for m, k, s in zip(xp.shape, ks, strides)]
     n = xp.shape[3]
@@ -419,66 +479,80 @@ def _window_view(x, ks, pads, strides, fuse=False):
     return win, "".join("abc"[ax] for ax in axes)
 
 
-def _dense_window(x: np.ndarray, wt: np.ndarray, pads, strides, out=None) -> np.ndarray:
+def _dense_window(x, wt: np.ndarray, pads, strides, out=None) -> np.ndarray:
     """Dense window + channel mix, the one dense engine.
 
-    x: (A, B, C, ci) float64; wt: (ci, ka, kb, kc, co).  One einsum over
-    a strided window view of the padded x whose innermost window axis is
-    fused with the channel axis: the kc taps along C of ci channels each
-    are one contiguous run of kc*ci values, so the view reads them as a
-    single reduction axis K = tap*ci + channel without packing anything.
-    The output channel is innermost in the weights and the result.
-    Returns the (A', B', C', co) result, written into `out` when given.
+    x: (A, B, C, ci) float32 or float64; wt: (ci, ka, kb, kc, co).  One
+    einsum per slab (`_by_slab`) over a strided window view of the
+    slab's padded input whose innermost window axis is fused with the
+    channel axis: the kc taps along C of ci channels each are one
+    contiguous run of kc*ci values, so the view reads them as a single
+    reduction axis K = tap*ci + channel without packing anything.  The
+    output channel is innermost in the weights and the result.  Returns
+    the (A', B', C', co) result, written into `out` when given.
     """
-    xp = _padded(x, pads)
     ks, ci = wt.shape[1:4], wt.shape[0]
-    win = as_strided(
-        xp,
-        shape=[(m - k) // s + 1 for m, k, s in zip(xp.shape, ks, strides)]
-        + [ks[0], ks[1], ks[2] * ci],
-        strides=[st * s for st, s in zip(xp.strides, strides)] + list(xp.strides[:2]) + [xp.itemsize],
-        writeable=False,
-    )
-    wt = np.ascontiguousarray(wt.transpose(1, 2, 3, 0, 4)).reshape(win.shape[3:] + wt.shape[-1:])
-    return np.einsum("zyxabK,abKo->zyxo", win, wt, out=out, optimize=False)
+    wt = np.ascontiguousarray(wt.transpose(1, 2, 3, 0, 4)).reshape(ks[0], ks[1], ks[2] * ci, -1)
+    if out is None:
+        out = np.empty(_grid(x, ks, pads, strides) + [wt.shape[-1]])
+
+    def engine(xp, out):
+        win = as_strided(
+            xp,
+            shape=[(m - k) // s + 1 for m, k, s in zip(xp.shape, ks, strides)] + list(wt.shape[:3]),
+            strides=[st * s for st, s in zip(xp.strides, strides)] + list(xp.strides[:2]) + [xp.itemsize],
+            writeable=False,
+        )
+        np.einsum("zyxabK,abKo->zyxo", win, wt, out=out, optimize=False)
+
+    return _by_slab(engine, x, ks, pads, strides, out)
 
 
 def _slice_window(x, w: np.ndarray, pads, strides, out=None) -> np.ndarray:
     """Per-slice window, the one per-slice engine.
 
     x: (A, B, C, n) float32 or float64, or `_Haloed`; w: (n, ka, kb, kc).
-    Slice i of the output only ever reads slice i of x.  One einsum over
-    the strided window view; axes whose kernel extent is 1 are left out
-    of the window, so the split-stage layouts (k*k over h,w; k over d)
-    gather exactly their own taps.  The innermost loop runs over one
-    contiguous run per (A', B') row: the output's C' sites and their n
-    slices, C'*n values, against the weights tiled C' times along it --
-    the same trick as the dense engine's kc*ci axis.  A loop n values
-    long spends its time on per-loop overhead, not on memory traffic.
-    The run needs stride 1 along C and an `out` whose (C', n) block is
-    contiguous; otherwise (a strided phase of a scatter) the loop runs
-    over the n slices of each site, written straight into `out`.  Both
-    forms add each output's products one at a time in tap order, so
-    their results are bit-identical.  A single slice keeps the per-site
-    form: there einsum's innermost loop is the sum over the C taps,
-    which it totals before adding it to the output, so the run would
-    round differently.  Returns the (A', B', C', n) result, written into
-    `out` when given.
+    Slice i of the output only ever reads slice i of x.  One einsum per
+    slab (`_by_slab`) over the strided window view; axes whose kernel
+    extent is 1 are left out of the window, so the split-stage layouts
+    (k*k over h,w; k over d) gather exactly their own taps.  The
+    innermost loop runs over one contiguous run per (A', B') row: the
+    output's C' sites and their n slices, C'*n values, against the
+    weights tiled C' times along it -- the same trick as the dense
+    engine's kc*ci axis.  A loop n values long spends its time on
+    per-loop overhead, not on memory traffic.  The run needs stride 1
+    along C and an `out` whose (C', n) block is contiguous; otherwise
+    (a strided phase of a scatter) the loop runs over the n slices of
+    each site, written straight into `out`.  Both forms add each
+    output's products one at a time in tap order, so their results are
+    bit-identical.  A single slice keeps the per-site form: there
+    einsum's innermost loop is the sum over the C taps, which it totals
+    before adding it to the output, so the run would round differently.
+    A window along A alone (fdwsc's k*1*1) runs one einsum per B' row:
+    in one call einsum's iterator puts the tap loop outside the B' loop,
+    because the tap's stride equals A's, so each tap would stream a
+    whole (B', C'*n) plane of the output.  Its one reduction axis keeps
+    the row's sums in tap order.  Returns the (A', B', C', n) result,
+    written into `out` when given.
     """
-    n = w.shape[0]
-    fuse = n > 1 and strides[2] == 1 and (out is None or out[0, 0].flags.c_contiguous)
-    win, taps = _window_view(x, w.shape[1:], pads, strides, fuse)
-    run = win.shape[3]
-    wt = np.empty((math.prod(win.shape[4:]), run // n, n))
-    wt[...] = w.reshape(n, -1).T[:, None]
-    y = np.einsum(
-        f"zyxR{taps},{taps}R->zyxR",
-        win,
-        wt.reshape(win.shape[4:] + (run,)),
-        out=None if out is None else out.reshape(win.shape[:4]),
-        optimize=False,
-    )
-    return y.reshape(win.shape[:2] + (-1, n))
+    n, ks = w.shape[0], w.shape[1:]
+    if out is None:
+        out = np.empty(_grid(x, ks, pads, strides) + [n])
+    fuse = n > 1 and strides[2] == 1 and out[0, 0].flags.c_contiguous
+    run = out.shape[2] * n if fuse else n
+    tile = np.empty((math.prod(ks), run // n, n))
+    tile[...] = w.reshape(n, -1).T[:, None]
+
+    def engine(xp, out):
+        win, taps = _window_view(xp, ks, strides, fuse)
+        wt, y = tile.reshape(win.shape[4:] + (run,)), out.reshape(win.shape[:4])
+        if taps == "a":
+            for b in range(y.shape[1]):
+                np.einsum("zxRa,aR->zxR", win[:, b], wt, out=y[:, b], optimize=False)
+        else:
+            np.einsum(f"zyxR{taps},{taps}R->zyxR", win, wt, out=y, optimize=False)
+
+    return _by_slab(engine, x, ks, pads, strides, out)
 
 
 def _depthwise_core(x, w: np.ndarray, strides, halo=None):
@@ -778,7 +852,7 @@ def _window_bwd(x, w: np.ndarray, strides, gz: np.ndarray):
     input gradient, the stage's transpose (a per-slice scatter of gz
     cropped to x), allocates its own.
     """
-    win, taps = _window_view(x, w.shape[1:], [same_pad(k) for k in w.shape[1:]], strides)
+    win, taps = _window_view(_buffer(x, [same_pad(k) for k in w.shape[1:]]), w.shape[1:], strides)
     gw = np.einsum(f"zyxn{taps},zyxn->n{taps}", win, gz, optimize=False)
     crop, n = tuple(map(slice, x.shape[:3])), x.shape[3]
     del x, win

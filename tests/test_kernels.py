@@ -1232,3 +1232,141 @@ def test_strided_scatter_phases_write_straight_into_their_output(monkeypatch):
 
     monkeypatch.setattr(kernels, "_slice_window", copied)
     assert peak() > bound
+
+
+# ----------------------------------------------------------------------
+# window stages run one slab of output planes at a time
+# ----------------------------------------------------------------------
+
+
+_CONV3D = {"full": conv3d_full, "fwsc": conv3d_fwsc, "dwsc": conv3d_dwsc, "fdwsc": conv3d_fdwsc}
+
+# SHA-256 over every public window op on inputs whose leading stage axis
+# (d, or c for dwsc) spans several slabs with a partial last one,
+# recorded before the window engines ran one slab at a time: slabbing
+# may not move a single bit.
+_SLAB_SWEEP_SHA256 = "83b70c8ac9fdcd1274aa9f34cf2edac4c7abec797a0c969a959562103f1da374"
+
+
+def test_slabbed_outputs_and_gradients_are_pinned():
+    h = hashlib.sha256()
+
+    def put(tag, arrays):
+        for a in arrays:
+            h.update(f"{tag} {a.dtype} {a.shape}".encode())
+            h.update(np.ascontiguousarray(a).tobytes())
+
+    for m, k, s, dtype in itertools.product((17, 20, 50), (1, 3, 5), (1, 2, 3), (np.float32, np.float64)):
+        tag = f"m={m} k={k} s={s} {np.dtype(dtype).name}"
+        seed = m + 10 * k + s
+        for v in VARIANTS:
+            dims = (m, 3, 2, 3) if v == "dwsc" else (2, m, 2, 3)
+            extra = {"d_in": 3} if v == "dwsc" else {}
+            bank = KernelBank.random(v, k, dims[0], dims[0] if v == "dwsc" else 3, seed=seed,
+                                     bias=True, bn=True, **extra)
+            x = Volume4.random(dims, seed=seed, dtype=dtype)
+            g = Volume4.random(output_dims(v, dims, k, s, bank.c_out), seed=seed + 1, dtype=np.float64)
+            put(f"{v} {tag}", [_CONV3D[v](x, bank, s).array])
+            put(f"backward {v} {tag}", _flat(backward(x, bank, g, s)))
+        dims = (2, m, 2, 3)
+        x = Volume4.random(dims, seed=seed, dtype=dtype)
+        bank = KernelBank.random("full", k, 2, 3, seed=seed, bias=True, bn=True)
+        g = Volume4.random((3, m * s, 2 * s, 3 * s), seed=seed + 2, dtype=np.float64)
+        put(f"deconv {tag}", [deconv3d_full(x, bank, s).array])
+        put(f"deconv backward {tag}", _flat(deconv3d_backward(x, bank, g, s)))
+        w = uniform_open(seed, 2 * k**3).reshape(2, k, k, k)
+        put(f"depthwise_cube {tag}", [depthwise_cube(x, w, s).array])
+    assert h.hexdigest() == _SLAB_SWEEP_SHA256
+
+
+@pytest.mark.parametrize("height", [1, 2, 3])
+@pytest.mark.parametrize("dims, run", _f32_cases())
+def test_every_slab_height_is_bit_identical_to_one_slab(monkeypatch, dims, run, height):
+    from sepconv3d import kernels
+
+    xs = [Volume4.random(dims, seed=sum(dims), dtype=dtype) for dtype in (np.float32, np.float64)]
+    monkeypatch.setattr(kernels, "_SLAB", 10**6)
+    want = [run(x) for x in xs]
+    monkeypatch.setattr(kernels, "_SLAB", height)
+    got = [run(x) for x in xs]
+    assert [[a.tobytes() for a in arrs] for arrs in got] == [[a.tobytes() for a in arrs] for arrs in want]
+
+
+@pytest.mark.parametrize("height", [1, 2, 3])
+@pytest.mark.parametrize("layout", ["none", "phase-a", "phase-c"])
+@pytest.mark.parametrize("shape", ["kkk", "1kk", "k11"])
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_every_slab_height_keeps_both_engines_bit_identical(monkeypatch, s, k, shape, layout, height):
+    # the engines straight, with out written through strided phase views
+    from sepconv3d import kernels
+
+    ks = tuple(k if c == "k" else 1 for c in shape)
+    x = Volume4.random((3, 7, 6, 5), seed=k + s, dtype=np.float32).array.transpose(1, 2, 3, 0)
+    pads = [((m - 1) // 2, m // 2) for m in ks]
+    strides = (1, s, s) if shape == "1kk" else (s, s, s)
+    w = KernelBank.random("fwsc", 5, 3, seed=s).arrays["depthwise"][:, : ks[0], : ks[1], : ks[2]]
+    wd = KernelBank.random("full", 5, 3, 2, seed=s).arrays["weights"][..., : ks[0], : ks[1], : ks[2]]
+    for window, wt in ((kernels._slice_window, w), (kernels._dense_window, np.moveaxis(wd, 0, -1))):
+        monkeypatch.setattr(kernels, "_SLAB", 10**6)
+        want = window(x, wt, pads, strides)
+        monkeypatch.setattr(kernels, "_SLAB", height)
+        out = _out_case(layout, want.shape)
+        got = window(x, wt, pads, strides, out=out)
+        assert got.tobytes() == want.tobytes()
+        if out is not None:
+            assert np.ascontiguousarray(out).tobytes() == want.tobytes()
+
+
+def test_a_window_pads_once_per_slab_and_only_at_the_volume_edge(monkeypatch):
+    # d = 20 is three slabs of 8, 8 and 4 output planes.  fdwsc's k*k
+    # window reads exactly its slab's planes and pads h and w only; its
+    # length-k window reads the buffer the k*k window wrote into and
+    # pads nothing.  fwsc's k*k*k window reads one plane past each slab
+    # end, padded with zeros where the slab meets the volume's edge.
+    from sepconv3d import kernels
+
+    padded = kernels._padded
+    calls = []
+
+    def spy(x, pads):
+        calls.append((x.shape[0], pads[0]))
+        return padded(x, pads)
+
+    monkeypatch.setattr(kernels, "_padded", spy)
+    assert kernels._SLAB == 8
+    x = Volume4.random((3, 20, 6, 7), seed=1)
+    forward(x, KernelBank.random("fdwsc", 3, 3, 2, seed=1))
+    assert calls == [(8, (0, 0)), (8, (0, 0)), (4, (0, 0))]
+    calls.clear()
+    forward(x, KernelBank.random("fwsc", 3, 3, 2, seed=1))
+    assert calls == [(9, (1, 0)), (10, (0, 0)), (5, (0, 1))]
+
+
+def test_f64_fwsc_forward_peak_holds_one_slab_of_padded_input(monkeypatch):
+    # 40 planes are 5 slabs.  The peak is the window output with one
+    # slab's padded buffer, or later the window output with the layer
+    # output; the bound allows all three at once plus 64 KiB for weights,
+    # views and einsum's iteration state.  One call over a padded copy of
+    # the whole input (268,800 B here) breaks it.
+    import tracemalloc
+
+    from sepconv3d import kernels
+
+    c, co, d, h, w = 8, 2, 40, 8, 8
+    x = Volume4.random((c, d, h, w), seed=5)
+    bank = KernelBank.random("fwsc", 3, c, co, seed=6)
+    slab = 8 * c * (kernels._SLAB + 2) * (h + 2) * (w + 2)
+    bound = 8 * co * d * h * w + 8 * c * d * h * w + slab + 64 * 1024
+
+    def peak():
+        tracemalloc.start()
+        try:
+            forward(x, bank)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak() < bound
+    monkeypatch.setattr(kernels, "_SLAB", 10**6)
+    assert peak() > bound
