@@ -4,13 +4,14 @@ Three families of checks live here:
 
 * ``loop_forward`` / ``loop_deconv`` - brute-force nested-loop
   re-implementations of every operator, written against the definitions
-  rather than the production kernels.  Every conv variant runs one
-  window nest, out[o] = sum_i window(x[i], w[o][i]): the dense conv
-  calls it once, each per-slice window once per slice with one input
-  and one output, and each mix with 1x1x1 windows.  The transposed
-  conv has its own scatter nest.  Each nest returns both the computed
-  values and the number of multiply-accumulates it executed, so one
-  nest serves as value oracle and as MAC counter.
+  rather than the production kernels.  Every operator runs one window
+  nest, out[o] = sum_i window(x[i], w[o][i]), whose taps along each axis
+  come from a rule: the padded window for the conv variants (the dense
+  conv calls the nest once, each per-slice window once per slice with
+  one input and one output, and each mix with 1x1x1 windows), and the
+  gather form of the scatter for the transposed conv.  The nest returns
+  both the computed values and the number of multiply-accumulates it
+  executed, so it serves as value oracle and as MAC counter.
 * ``finite_diff_grad`` - central finite differences of the scalar loss
   vdot(g, output), for an upstream gradient g (ones by default), with
   respect to every input element and every weight.
@@ -18,7 +19,7 @@ Three families of checks live here:
   equal its composed stages, collapse to the dense op in degenerate
   settings, and so on).
 
-The nests read the bank's arrays as nested lists, never the stage list
+The nest reads the bank's arrays as nested lists, never the stage list
 the kernels and the cost model share, so a wrong stage list shows up as
 a disagreement with them.
 Closed-form costs agreeing with the loop counts for randomized
@@ -86,10 +87,12 @@ def _max_abs_err(a, b) -> float:
 # ----------------------------------------------------------------------
 # brute-force loop nests
 #
-# Nested python loops over output sites and kernel taps.  `mac` is
-# incremented exactly once per multiply-accumulate the nest performs;
-# window taps count whether or not they land on padding (a padded
-# implementation executes those MACs on zeros).
+# Nested python loops over output sites and kernel taps.  `mac` counts
+# exactly the multiply-accumulates the nest performs: padded-window taps
+# count whether or not they land on padding (a padded implementation
+# executes those MACs on zeros); transposed-conv taps that would read the
+# upsampling zeros are never listed, so never counted.  The tap rules are
+# written from the definitions, apart from the cost model's closed forms.
 # ----------------------------------------------------------------------
 
 
@@ -126,40 +129,60 @@ def _zeros(co, d, h, w):
     return [[[[0.0] * w for _ in range(h)] for _ in range(d)] for _ in range(co)]
 
 
-def _window_nest(x, wt, strides):
+def _padded_taps(n: int, k: int, s: int):
+    """Taps of a centred window of k taps at stride s over n inputs: for
+    each of the ceil(n/s) outputs t, every tap a reads input s*t + a - p,
+    None where that lands on the zero padding."""
+    p = (k - 1) // 2
+    return [[(a, s * t + a - p if 0 <= s * t + a - p < n else None) for a in range(k)]
+            for t in range(_ceil(n, s))]
+
+
+def _transposed_taps(n: int, k: int, s: int):
+    """Taps of a transposed conv of k taps at stride s over n inputs: for
+    each of the n*s outputs t, the taps a whose source j = (t + p - a)/s
+    is an integer in [0, n), in descending a, so ascending j as the
+    scatter form adds them.  The upsampling zeros are never listed, so
+    never counted."""
+    p = (k - 1) // 2
+    return [[(a, (t + p - a) // s) for a in reversed(range(k))
+             if (t + p - a) % s == 0 and 0 <= t + p - a < n * s]
+            for t in range(n * s)]
+
+
+def _window_nest(x, wt, strides, rule):
     """out[o] = sum_i window(x[i], wt[o][i]) for nested lists x (n_in, d,
-    h, w) and wt (n_out, n_in, ka, kb, kc), each window centred and
-    zero-padded, strided per axis; returns (out, macs)."""
-    n_in, d, h, w = len(x), len(x[0]), len(x[0][0]), len(x[0][0][0])
-    ka, kb, kc = len(wt[0][0]), len(wt[0][0][0]), len(wt[0][0][0][0])
-    pa, pb, pc = (ka - 1) // 2, (kb - 1) // 2, (kc - 1) // 2
-    sa, sb, sc = strides
-    D, H, W = _ceil(d, sa), _ceil(h, sb), _ceil(w, sc)
-    out = _zeros(len(wt), D, H, W)
+    h, w) and wt (n_out, n_in, ka, kb, kc); rule(n, k, s) lists each
+    axis's (tap, input index) pairs per output position in summation
+    order.  A None index counts as a MAC and adds nothing; an output
+    without taps stays 0.0.  Returns (out, macs)."""
+    taps = [rule(n, k, s) for n, k, s in zip(
+        (len(x[0]), len(x[0][0]), len(x[0][0][0])),
+        (len(wt[0][0]), len(wt[0][0][0]), len(wt[0][0][0][0])), strides)]
+    out = _zeros(len(wt), *map(len, taps))
+    tz, ty, tx = ([(t, pairs) for t, pairs in enumerate(axis) if pairs] for axis in taps)
+    row_macs = len(x) * sum(map(len, taps[2]))  # one output row, per (z-tap, y-tap)
     mac = 0
-    for o in range(len(wt)):
-        wo = wt[o]
-        for z in range(D):
-            for y in range(H):
-                for xx in range(W):
+    for o, wo in enumerate(wt):
+        for z, zt in tz:
+            for y, yt in ty:
+                mac += row_macs * len(zt) * len(yt)
+                row = out[o][z][y]
+                for xx, xt in tx:
                     acc = 0.0
-                    for i in range(n_in):
-                        xi = x[i]
-                        wi = wo[i]
-                        for a in range(ka):
-                            dz = sa * z + a - pa
-                            inside_z = 0 <= dz < d
-                            wa = wi[a]
-                            for b in range(kb):
-                                dy = sb * y + b - pb
-                                inside_y = inside_z and 0 <= dy < h
-                                wb = wa[b]
-                                for c in range(kc):
-                                    dx = sc * xx + c - pc
-                                    mac += 1
-                                    if inside_y and 0 <= dx < w:
-                                        acc += wb[c] * xi[dz][dy][dx]
-                    out[o][z][y][xx] = acc
+                    for xi, wi in zip(x, wo):
+                        for a, dz in zt:
+                            if dz is None:
+                                continue
+                            wa, xa = wi[a], xi[dz]
+                            for b, dy in yt:
+                                if dy is None:
+                                    continue
+                                wb, xb = wa[b], xa[dy]
+                                for c, dx in xt:
+                                    if dx is not None:
+                                        acc += wb[c] * xb[dx]
+                    row[xx] = acc
     return out, mac
 
 
@@ -167,7 +190,7 @@ def _per_slice(x, wt, strides):
     """out[i] = window(x[i], wt[i]): one single-channel nest per slice."""
     out, mac = [], 0
     for xi, wi in zip(x, wt):
-        (oi,), m = _window_nest([xi], [[wi]], strides)
+        (oi,), m = _window_nest([xi], [[wi]], strides, _padded_taps)
         out.append(oi)
         mac += m
     return out, mac
@@ -175,7 +198,7 @@ def _per_slice(x, wt, strides):
 
 def _mix(x, pw):
     """out[o] = sum_i pw[o][i] * x[i]: the nest over 1x1x1 windows."""
-    return _window_nest(x, [[[[[c]]] for c in row] for row in pw], (1, 1, 1))
+    return _window_nest(x, [[[[[c]]] for c in row] for row in pw], (1, 1, 1), _padded_taps)
 
 
 def _transpose_xd(x):
@@ -200,7 +223,7 @@ def loop_forward(variant: str, x: Volume4, bank: KernelBank, stride: int = 1):
     a = bank.arrays
 
     if variant == "full":
-        out, mac = _window_nest(xl, a["weights"].tolist(), (s, s, s))
+        out, mac = _window_nest(xl, a["weights"].tolist(), (s, s, s), _padded_taps)
     elif variant == "fwsc":
         mid, mac = _per_slice(xl, a["depthwise"].tolist(), (s, s, s))
         out, m = _mix(mid, a["pointwise"].tolist())
@@ -226,52 +249,20 @@ def loop_forward(variant: str, x: Volume4, bank: KernelBank, stride: int = 1):
 
 
 def loop_deconv(x: Volume4, bank: KernelBank, stride: int = 1):
-    """Brute-force transposed conv via the scatter form.
+    """Brute-force transposed conv: the window nest in gather form.
 
-    Each input element is multiplied by each kernel tap and scattered to
-    stride*i + tap - (k-1)//2; MACs whose target falls outside the
-    output are never executed, so the count skips the upsampling zeros.
+    Output t along each axis sums the taps a whose input j satisfies
+    stride*j + a - (k-1)//2 = t, in ascending j, as a scatter of each
+    input to those sites would add them; taps that would read the
+    upsampling zeros are never executed, so the count skips them.
     """
     if bank.variant != "full":
         raise KernelError(f"transposed conv needs a 'full' bank, got {bank.variant!r}")
     if x.c != bank.c_in:
         raise KernelError(f"input has {x.c} channels, bank expects {bank.c_in}")
     s = _k._check_int("stride", stride)
-    k = bank.k
-    p = (k - 1) // 2
-    ci, d, h, w = x.dims
-    co = bank.c_out
-    D, H, W = d * s, h * s, w * s
-    wt = bank.arrays["weights"].tolist()
     xl = x.array.astype(np.float64).tolist()
-    out = _zeros(co, D, H, W)
-    mac = 0
-    for o in range(co):
-        wo = wt[o]
-        oo = out[o]
-        for i in range(ci):
-            xi = xl[i]
-            wi = wo[i]
-            for z in range(d):
-                for y in range(h):
-                    for xx in range(w):
-                        v = xi[z][y][xx]
-                        for a in range(k):
-                            tz = s * z + a - p
-                            if not 0 <= tz < D:
-                                continue
-                            wa = wi[a]
-                            for b in range(k):
-                                ty = s * y + b - p
-                                if not 0 <= ty < H:
-                                    continue
-                                wb = wa[b]
-                                orow2 = oo[tz][ty]
-                                for c in range(k):
-                                    tx = s * xx + c - p
-                                    if 0 <= tx < W:
-                                        orow2[tx] += wb[c] * v
-                                        mac += 1
+    out, mac = _window_nest(xl, bank.arrays["weights"].tolist(), (s, s, s), _transposed_taps)
     out, extra = _affine_loop(out, bank)
     return np.array(out, dtype=np.float64), mac + extra
 
@@ -510,7 +501,7 @@ _DECONV_KS = ((3, 2), (3, 1), (1, 2), (1, 1))
 
 
 def _deconv_vs_loop(seed: int) -> OracleReport:
-    """deconv3d_full against the scatter-form loop nest on seeded data."""
+    """deconv3d_full against the loop nest's transposed taps on seeded data."""
     rng = np.random.default_rng(seed + 0xDEC0)
     k, stride = _DECONV_KS[seed % len(_DECONV_KS)]
     ci, co = int(rng.integers(1, 4)), int(rng.integers(1, 4))
@@ -560,7 +551,7 @@ def _conv_layers(seeds: int):
 
 
 def _deconv_layers(seeds: int):
-    """Randomized deconv3d layers with their scatter-loop MAC counts."""
+    """Randomized deconv3d layers with their loop-nest MAC counts."""
     rng = np.random.default_rng(0xDEC5)
     for _ in range(max(seeds, 4)):
         k = int(rng.choice([1, 3, 5]))

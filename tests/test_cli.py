@@ -312,6 +312,23 @@ def test_check_bad_seeds(capsys):
     assert "--seeds" in err
 
 
+# SHA-256 of check's stdout, recorded before the transposed conv's oracle
+# ran the window nest (numpy 2.4.6, OpenBLAS 0.3.31): every case's name,
+# status, max_rel and note, byte for byte
+_CHECK_SHA256 = {
+    (): "f4bc28750ec5e0a3bf9f3d2f1175327d789ade9921ba863f06c07b9d20e5f54f",
+    ("--seeds", "3"): "1929990c601fbf317921810820723e5e9d788f2372d20186fcadab1e0776af92",
+    ("--filter", "grad/"): "5383689ed415f46708da9143071fb2e29d779a3963e52306aced89b7b6c57788",
+}
+
+
+@pytest.mark.parametrize("flags", list(_CHECK_SHA256), ids=" ".join)
+def test_check_output_matches_recorded_bytes(capsys, flags):
+    code, out, err = _run(capsys, "check", *flags)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == _CHECK_SHA256[flags]
+
+
 # ----------------------------------------------------------------------
 # apply
 # ----------------------------------------------------------------------

@@ -1071,8 +1071,8 @@ def test_f32_input_equals_its_f64_image_bit_for_bit(dims, run):
 
 
 def test_f32_forward_peak_holds_no_f64_copy_of_the_input(monkeypatch):
-    # A float32 fwsc layer's peak is the padded float64 input and the
-    # float64 window output it feeds, or later the float32 output; the
+    # A float32 fwsc layer's peak is one slab's padded float64 input and
+    # the float64 window output it feeds, or later the float32 output; the
     # bound allows all three at once plus 64 KiB for weights and views.
     # A separate float64 copy of the input (what a cast before the first
     # stage makes, 589,824 B here) held through the window breaks it.
@@ -1084,7 +1084,8 @@ def test_f32_forward_peak_holds_no_f64_copy_of_the_input(monkeypatch):
     x = Volume4.random((c, d, h, w), seed=3, dtype=np.float32)
     bank = KernelBank.random("fwsc", 3, c, c, seed=4)
     sites = d * h * w * c
-    bound = 8 * c * (d + 2) * (h + 2) * (w + 2) + 8 * sites + 4 * sites + 64 * 1024
+    slab = min(d, kernels._SLAB) + 2
+    bound = 8 * c * slab * (h + 2) * (w + 2) + 8 * sites + 4 * sites + 64 * 1024
 
     def peak():
         tracemalloc.start()

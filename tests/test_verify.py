@@ -143,6 +143,29 @@ def test_loop_count_equals_closed_form(variant, stride):
     assert mac == count_layer(spec, shape).total_macs
 
 
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [1, 3, 5, 7])
+def test_tap_rules_match_their_definitions(k, s):
+    p = (k - 1) // 2
+    for n in range(1, 9):
+        # transposed: output t sums every (a, j) with s*j + a - p = t, in
+        # ascending j, and nothing else
+        taps = verify._transposed_taps(n, k, s)
+        assert len(taps) == n * s
+        for t, pairs in enumerate(taps):
+            assert pairs == [(a, j) for j in range(n) for a in range(k) if s * j + a - p == t]
+        assert sum(map(len, taps)) == scatter_taps(n, k, s)
+        # padded: ceil(n/s) outputs of k taps, None exactly off [0, n)
+        taps = verify._padded_taps(n, k, s)
+        assert len(taps) == -(-n // s)
+        for t, pairs in enumerate(taps):
+            assert [a for a, _ in pairs] == list(range(k))
+            for a, i in pairs:
+                j = s * t + a - p
+                assert (i is None) == (j < 0 or j >= n)
+                assert i in (None, j)
+
+
 def test_loop_deconv_count_skips_out_of_range_taps():
     x = Volume4.random((2, 3, 4, 5), seed=5, dtype=np.float64)
     _, mac = loop_deconv(x, _bank("full", 3, 2, 3), stride=2)
@@ -403,7 +426,7 @@ def test_finite_diff_rejects_mismatched_upstream_gradient():
 
 
 # ----------------------------------------------------------------------
-# one window nest serves every conv oracle; one bank per finite difference
+# one window nest serves every loop oracle; one bank per finite difference
 # ----------------------------------------------------------------------
 
 # loop_forward values and MACs plus finite_diff_grad results over every
@@ -425,6 +448,25 @@ def test_oracle_sweep_is_bit_identical():
                 for name, g in finite_diff_grad(x, bank, s).items():
                     h.update(name.encode() + g.astype("<f8").tobytes())
     assert h.hexdigest() == _ORACLE_SWEEP_SHA256
+
+
+# loop_deconv values and MACs over k in {1, 3, 5}, stride in {1, 2, 3},
+# extents that include 1, with and without bias and BN, recorded while the
+# transposed conv still ran its own scatter nest
+_DECONV_SWEEP_SHA256 = "4666801f1784fff904e2a5e76e248e3ca50130857c23974e3769bdb54f55fae1"
+
+
+def test_loop_deconv_sweep_is_bit_identical():
+    h = hashlib.sha256()
+    for k in (1, 3, 5):
+        for s in (1, 2, 3):
+            for dims in ((1, 1, 1), (1, 3, 2), (2, 1, 4), (3, 2, 1)):
+                for bias, bn in ((False, False), (True, False), (False, True), (True, True)):
+                    x = Volume4.random((2,) + dims, seed=k + 10 * s, dtype=np.float64)
+                    bank = _bank("full", k, 2, 3, seed=k + 10 * s + 1, bias=bias, bn=bn)
+                    out, mac = loop_deconv(x, bank, s)
+                    h.update(out.astype("<f8").tobytes() + str(mac).encode())
+    assert h.hexdigest() == _DECONV_SWEEP_SHA256
 
 
 def test_finite_diff_builds_one_bank_per_call(monkeypatch):
@@ -454,20 +496,32 @@ def test_cost_oracle_runs_no_production_forward(monkeypatch):
     assert r.passed, str(r)
 
 
-def test_window_nest_mutant_fails_every_variant(monkeypatch):
-    # tap a read at offset a - p + 1: every conv oracle runs this one
-    # nest, so all four variants must disagree with production
-    src = textwrap.dedent(inspect.getsource(verify._window_nest))
-    mutant = src.replace("dz = sa * z + a - pa", "dz = sa * z + a - pa + 1")
+def _exec_mutant(monkeypatch, name, old, new):
+    """Replace verify.<name> with its source edited from `old` to `new`."""
+    src = textwrap.dedent(inspect.getsource(getattr(verify, name)))
+    mutant = src.replace(old, new)
     assert mutant != src
     scope = dict(vars(verify))
     exec(mutant, scope)
-    monkeypatch.setattr(verify, "_window_nest", scope["_window_nest"])
+    monkeypatch.setattr(verify, name, scope[name])
+
+
+def test_window_nest_mutant_fails_every_variant(monkeypatch):
+    # tap a read at offset a - p + 1: every conv oracle runs the one nest
+    # with the padded rule, so all four variants must disagree with production
+    _exec_mutant(monkeypatch, "_padded_taps", "s * t + a - p", "s * t + a - p + 1")
     for variant in ("full", "fwsc", "dwsc", "fdwsc"):
         x = Volume4.random((2, 3, 4, 5), seed=11, dtype=np.float64)
         bank = _bank(variant, 3, 2, 2, d_in=3 if variant == "dwsc" else None, bias=True)
         ref, _ = loop_forward(variant, x, bank)
         assert max_rel_err(kernels.forward(x, bank).array, ref) > 1e-3, variant
+    # the transposed conv runs the same nest with its own rule: a centre
+    # shifted by one must fail both its value and its MAC oracle
+    monkeypatch.undo()
+    _exec_mutant(monkeypatch, "_transposed_taps", "p = (k - 1) // 2", "p = (k - 1) // 2 + 1")
+    for case in ("composition/deconv-vs-loop", "cost-oracle/deconv-scatter"):
+        (r,) = run_catalog(name_filter=case)
+        assert not r.passed, str(r)
 
 
 @pytest.mark.parametrize("seed", [2.5, True, "1"])
