@@ -27,6 +27,12 @@ configurations is the anti-drift check tying kernels and cost model
 together; it counts with ``loop_forward`` alone.  ``counted_forward``
 pairs the production forward output with that count for callers that
 want both from one call.
+
+``run_catalog`` is the `check` suite over these three families.  Each
+case draws its numbers (shapes, strides, seeds) from its own stream and
+builds every seeded (input, bank) pair with one builder, ``_layer_case``,
+only when the case runs, so a filtered run builds only the selected
+cases' layers.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from . import costs as _costs
 from . import kernels as _k
 from .kernels import KernelBank, KernelError
 from .netcfg import LayerSpec, is_int
-from .volume import Shape4, Volume4
+from .volume import Volume4
 
 __all__ = [
     "COMPOSITION_CASES",
@@ -235,14 +241,12 @@ def loop_forward(variant: str, x: Volume4, bank: KernelBank, stride: int = 1):
         mid, mac = _per_slice(xd, a["depthwise"].tolist(), (1, s, s))
         outd, m = _mix(mid, a["pointwise"].tolist())
         out, mac = _transpose_xd(outd), mac + m
-    elif variant == "fdwsc":
+    else:  # fdwsc: the bank's variant is one of the four
         k, ci = bank.k, bank.c_in
         mid, mac = _per_slice(xl, a["spatial"].reshape(ci, 1, k, k).tolist(), (1, s, s))
         mid, m = _per_slice(mid, a["disparity"].reshape(ci, k, 1, 1).tolist(), (s, 1, 1))
         out, m2 = _mix(mid, a["pointwise"].tolist())
         mac += m + m2
-    else:
-        raise KernelError(f"unknown variant {variant!r}")
 
     out, extra = _affine_loop(out, bank)
     return np.array(out, dtype=np.float64), mac + extra
@@ -367,18 +371,21 @@ COMPOSITION_CASES = (
 )
 
 
-def _report(case: str, a, b, tol: float, bit_exact: bool = False, note: str = "") -> OracleReport:
-    abs_err = _max_abs_err(a, b)
+def _report(case: str, a, b, tol: float, note: str = "") -> OracleReport:
+    """Compare a with b; tol=0.0 asks for equal values, since max_rel is
+    0 only when every element matches."""
     rel = max_rel_err(a, b)
-    passed = bool(np.array_equal(a, b)) if bit_exact else rel <= tol
-    return OracleReport(
-        case=case,
-        max_abs_err=abs_err,
-        max_rel_err=rel,
-        tol=0.0 if bit_exact else tol,
-        passed=passed,
-        note=note,
-    )
+    return OracleReport(case, _max_abs_err(a, b), rel, tol, rel <= tol, note=note)
+
+
+def _layer_case(variant: str, k: int, ci: int, co: int, d: int, h: int, w: int,
+                bank_seed: int, x_seed: int, bias: bool = True, bn: bool = True):
+    """The seeded (input, bank) pair of one randomized layer: a float64
+    (ci, d, h, w) input and a `variant` bank, sized to d when dwsc."""
+    x = Volume4.random((ci, d, h, w), seed=x_seed, dtype=np.float64)
+    bank = KernelBank.random(variant, k, ci, co, d_in=d if variant == "dwsc" else None,
+                             seed=bank_seed, bias=bias, bn=bn)
+    return x, bank
 
 
 def composition_check(case: str, seed: int = 0) -> OracleReport:
@@ -391,19 +398,17 @@ def composition_check(case: str, seed: int = 0) -> OracleReport:
 
     if case == "fwsc-vs-stages":
         ci, co = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-        x = Volume4.random((ci, 4, 6, 8), seed=seed, dtype=np.float64)
-        bank = KernelBank.random("fwsc", k, ci, co, seed=seed, bias=True, bn=True)
+        x, bank = _layer_case("fwsc", k, ci, co, 4, 6, 8, seed, seed)
         fused = _k.conv3d_fwsc(x, bank, stride)
         mid = _k.depthwise_cube(x, bank.arrays["depthwise"], stride)
         staged = _k.pointwise_mix(mid, bank.arrays["pointwise"])
         staged = _k.scale_shift(staged, bias=bank.bias, scale=bank.bn_scale, shift=bank.bn_shift)
-        return _report(case, fused.array, staged.array, tol=0.0, bit_exact=True,
+        return _report(case, fused.array, staged.array, tol=0.0,
                        note=f"k={k} s={stride} ci={ci} co={co}")
 
     if case == "fdwsc-rank1-vs-fwsc":
         ci, co = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-        x = Volume4.random((ci, 5, 6, 7), seed=seed, dtype=np.float64)
-        fd = KernelBank.random("fdwsc", k, ci, co, seed=seed, bias=True, bn=True)
+        x, fd = _layer_case("fdwsc", k, ci, co, 5, 6, 7, seed, seed)
         cube = np.einsum(
             "ca,cbe->cabe", fd.arrays["disparity"], fd.arrays["spatial"]
         )  # W[d-tap, h-tap, w-tap] = D[d-tap] * S[h-tap, w-tap], per channel
@@ -418,8 +423,7 @@ def composition_check(case: str, seed: int = 0) -> OracleReport:
 
     if case == "fwsc-c1-vs-full":
         co = int(rng.integers(1, 5))
-        x = Volume4.random((1, 5, 6, 7), seed=seed, dtype=np.float64)
-        fw = KernelBank.random("fwsc", k, 1, co, seed=seed, bias=True, bn=True)
+        x, fw = _layer_case("fwsc", k, 1, co, 5, 6, 7, seed, seed)
         dense = np.einsum("oi,iabe->oiabe", fw.arrays["pointwise"], fw.arrays["depthwise"])
         fu = KernelBank(
             "full", k, 1, co, {"weights": dense},
@@ -431,8 +435,7 @@ def composition_check(case: str, seed: int = 0) -> OracleReport:
 
     if case == "dwsc-d1-vs-cube-conv":
         ci = int(rng.integers(1, 5))
-        x = Volume4.random((ci, 1, 6, 7), seed=seed, dtype=np.float64)
-        dw = KernelBank.random("dwsc", k, ci, d_in=1, seed=seed)
+        x, dw = _layer_case("dwsc", k, ci, ci, 1, 6, 7, seed, seed, bias=False, bn=False)
         one = KernelBank(
             "dwsc", k, ci, ci,
             {"depthwise": dw.arrays["depthwise"], "pointwise": np.array([[1.0]])},
@@ -445,8 +448,7 @@ def composition_check(case: str, seed: int = 0) -> OracleReport:
 
     if case == "k1-collapse":
         ci, co = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-        x = Volume4.random((ci, 4, 5, 6), seed=seed, dtype=np.float64)
-        pw = KernelBank.random("fwsc", 1, ci, co, seed=seed, bias=True, bn=True)
+        x, pw = _layer_case("fwsc", 1, ci, co, 4, 5, 6, seed, seed)
         mix = pw.arrays["pointwise"]
         fu = KernelBank(
             "full", 1, ci, co, {"weights": mix.reshape(co, ci, 1, 1, 1)},
@@ -462,13 +464,11 @@ def composition_check(case: str, seed: int = 0) -> OracleReport:
             {"spatial": np.ones((ci, 1, 1)), "disparity": np.ones((ci, 1)), "pointwise": mix},
             bias=pw.bias, bn_scale=pw.bn_scale, bn_shift=pw.bn_shift,
         )
-        a = _k.conv3d_full(x, fu, stride)
-        b = _k.conv3d_fwsc(x, fw, stride)
-        c = _k.conv3d_fdwsc(x, fd, stride)
-        err = max(max_rel_err(a.array, b.array), max_rel_err(a.array, c.array))
-        abs_err = max(_max_abs_err(a.array, b.array), _max_abs_err(a.array, c.array))
-        return OracleReport(case, abs_err, err, 1e-6, err <= 1e-6,
-                            note=f"s={stride} ci={ci} co={co}")
+        a = _k.conv3d_full(x, fu, stride).array
+        b = _k.conv3d_fwsc(x, fw, stride).array
+        c = _k.conv3d_fdwsc(x, fd, stride).array
+        return _report(case, np.stack([a, a]), np.stack([b, c]), tol=1e-6,
+                       note=f"s={stride} ci={ci} co={co}")
 
     raise ValueError(f"unknown composition case {case!r}; known: {COMPOSITION_CASES}")
 
@@ -506,8 +506,7 @@ def _deconv_vs_loop(seed: int) -> OracleReport:
     k, stride = _DECONV_KS[seed % len(_DECONV_KS)]
     ci, co = int(rng.integers(1, 4)), int(rng.integers(1, 4))
     d, h, w = int(rng.integers(2, 4)), int(rng.integers(3, 5)), int(rng.integers(4, 6))
-    x = Volume4.random((ci, d, h, w), seed=seed, dtype=np.float64)
-    bank = KernelBank.random("full", k, ci, co, seed=seed, bias=True, bn=True)
+    x, bank = _layer_case("full", k, ci, co, d, h, w, seed, seed)
     ref, _ = loop_deconv(x, bank, stride)
     got = _k.deconv3d_full(x, bank, stride)
     return _report("deconv-vs-loop", got.array, ref, tol=1e-9,
@@ -540,14 +539,12 @@ def _conv_layers(seeds: int):
         co = ci if variant == "dwsc" else int(rng.integers(1, 5))
         d, h, w = (int(rng.integers(2, hi)) for _ in range(3))
         bias, bn = bool(rng.integers(0, 2)), bool(rng.integers(0, 2))
-        bank = KernelBank.random(variant, k, ci, co, d_in=d if variant == "dwsc" else None,
-                                 seed=int(rng.integers(0, 2 ** 31)), bias=bias, bn=bn)
+        x, bank = _layer_case(variant, k, ci, co, d, h, w, int(rng.integers(0, 2 ** 31)),
+                              int(rng.integers(0, 2 ** 31)), bias, bn)
         spec = LayerSpec(id=f"{variant}-k{k}-s{stride}", kind="conv3d", variant=variant,
                          k=k, stride=stride, out_channels=co, bias=bias, bn=bn)
-        in_shape = Shape4(ci, d, h, w)
-        x = Volume4.random(in_shape, seed=int(rng.integers(0, 2 ** 31)), dtype=np.float64)
         _, mac = loop_forward(variant, x, bank, stride)
-        yield spec, in_shape, mac
+        yield spec, x.dims, mac
 
 
 def _deconv_layers(seeds: int):
@@ -559,35 +556,29 @@ def _deconv_layers(seeds: int):
         ci, co = int(rng.integers(1, 3)), int(rng.integers(1, 3))
         d, h, w = int(rng.integers(1, 4)), int(rng.integers(1, 5)), int(rng.integers(1, 6))
         bias, bn = bool(rng.integers(0, 2)), bool(rng.integers(0, 2))
-        bank = KernelBank.random("full", k, ci, co, seed=int(rng.integers(0, 2 ** 31)),
-                                 bias=bias, bn=bn)
+        x, bank = _layer_case("full", k, ci, co, d, h, w, int(rng.integers(0, 2 ** 31)),
+                              int(rng.integers(0, 2 ** 31)), bias, bn)
         spec = LayerSpec(id=f"deconv-k{k}-s{stride}", kind="deconv3d", variant="full",
                          k=k, stride=stride, out_channels=co, bias=bias, bn=bn)
-        in_shape = Shape4(ci, d, h, w)
-        x = Volume4.random(in_shape, seed=int(rng.integers(0, 2 ** 31)), dtype=np.float64)
         _, mac = loop_deconv(x, bank, stride)
-        yield spec, in_shape, mac
+        yield spec, x.dims, mac
 
 
-def _grad_inputs(grng, variant: str, reps: int) -> list:
-    """(x, bank, stride, seed of the upstream gradient) of one variant's
-    gradient checks."""
-    inputs = []
+def _grad_draws(grng, variant: str, reps: int) -> list:
+    """(layer arguments, stride, seed of the upstream gradient) of one
+    variant's gradient checks; numbers only, the layers are built when
+    the check runs."""
+    draws = []
     for _ in range(reps):
         k = int(grng.choice([1, 3]))
         stride = int(grng.choice([1, 2]))
         ci = int(grng.integers(1, 3))
         co = ci if variant == "dwsc" else int(grng.integers(1, 3))
         d, h, w = (int(grng.integers(2, 4)) for _ in range(3))
-        bank = KernelBank.random(
-            variant, k, ci, co,
-            d_in=d if variant == "dwsc" else None,
-            seed=int(grng.integers(0, 2 ** 31)), bias=True, bn=True,
-        )
-        x = Volume4.random((ci, d, h, w), seed=int(grng.integers(0, 2 ** 31)),
-                           dtype=np.float64)
-        inputs.append((x, bank, stride, int(grng.integers(0, 2 ** 31))))
-    return inputs
+        layer = (variant, k, ci, co, d, h, w,
+                 int(grng.integers(0, 2 ** 31)), int(grng.integers(0, 2 ** 31)))
+        draws.append((layer, stride, int(grng.integers(0, 2 ** 31))))
+    return draws
 
 
 # (k, stride, c_in, c_out) of the transposed-conv gradient checks, cycled:
@@ -598,28 +589,27 @@ def _grad_inputs(grng, variant: str, reps: int) -> list:
 _GRAD_DECONV = ((1, 1, 2, 3), (1, 2, 3, 2), (3, 1, 1, 1), (3, 2, 1, 1))
 
 
-def _grad_deconv_inputs(reps: int) -> list:
-    """(x, bank, stride, seed of the upstream gradient) of the
-    transposed-conv gradient checks, on their own stream."""
+def _grad_deconv_draws(reps: int) -> list:
+    """The transposed-conv gradient checks' numbers, as `_grad_draws`
+    gives them, on their own stream."""
     grng = np.random.default_rng(0x6EADDEC)
-    inputs = []
+    draws = []
     for i in range(reps):
         k, stride, ci, co = _GRAD_DECONV[i % len(_GRAD_DECONV)]
         d, h, w = (int(grng.integers(1, 3)) for _ in range(3))
-        bank = KernelBank.random("full", k, ci, co, seed=int(grng.integers(0, 2 ** 31)),
-                                 bias=True, bn=True)
-        x = Volume4.random((ci, d, h, w), seed=int(grng.integers(0, 2 ** 31)),
-                           dtype=np.float64)
-        inputs.append((x, bank, stride, int(grng.integers(0, 2 ** 31))))
-    return inputs
+        layer = ("full", k, ci, co, d, h, w,
+                 int(grng.integers(0, 2 ** 31)), int(grng.integers(0, 2 ** 31)))
+        draws.append((layer, stride, int(grng.integers(0, 2 ** 31))))
+    return draws
 
 
-def _grad_check(name: str, inputs: list, op, bwd) -> OracleReport:
+def _grad_check(name: str, draws: list, op, bwd) -> OracleReport:
     """Analytic backward `bwd` of `op` against central differences, from
     a seeded random upstream gradient, so that a backward which moves
     the upstream gradient to the wrong sites fails."""
     worst_rel = 0.0
-    for x, bank, stride, gseed in inputs:
+    for layer, stride, gseed in draws:
+        x, bank = _layer_case(*layer)
         y = op(x, bank, stride)
         gout = Volume4.random(y.dims, seed=gseed, dtype=np.float64)
         gin, grads = bwd(x, bank, gout, stride)
@@ -636,9 +626,14 @@ def run_catalog(name_filter: Optional[str] = None, seeds: int = 8) -> list:
     randomized layers, and gradient spot checks.  Returns OracleReports.
 
     `name_filter` keeps the cases whose name contains it; only those
-    run.  Every case draws its inputs from its own streams, so a filtered
-    run reports exactly the lines of the unfiltered one.
+    run.  Every case draws its numbers from its own streams and builds
+    its layers only when it runs, so a filtered run reports exactly the
+    lines of the unfiltered one and builds only the selected layers.
+    `seeds` (an integer >= 1) sets how many seeds each composition case
+    sweeps and scales the randomized and gradient layer counts.
     """
+    if not is_int(seeds) or seeds < 1:
+        raise KernelError(f"seeds must be an integer >= 1, got {seeds!r}")
     cases = [
         (f"composition/{c}",
          partial(_worst_over_seeds, check=partial(composition_check, c), seeds=seeds))
@@ -654,10 +649,10 @@ def run_catalog(name_filter: Optional[str] = None, seeds: int = 8) -> list:
     ]
     grng = np.random.default_rng(0x6EAD)
     for variant in ("full", "fwsc", "dwsc", "fdwsc"):
-        inputs = _grad_inputs(grng, variant, max(seeds // 4, 2))
         cases.append((f"grad/{variant}",
-                      partial(_grad_check, inputs=inputs, op=_k.forward, bwd=_k.backward)))
+                      partial(_grad_check, draws=_grad_draws(grng, variant, max(seeds // 4, 2)),
+                              op=_k.forward, bwd=_k.backward)))
     cases.append(("grad/deconv",
-                  partial(_grad_check, inputs=_grad_deconv_inputs(max(seeds // 2, 4)),
+                  partial(_grad_check, draws=_grad_deconv_draws(max(seeds // 2, 4)),
                           op=_k.deconv3d_full, bwd=_k.deconv3d_backward)))
     return [run(name) for name, run in cases if not name_filter or name_filter in name]

@@ -1371,3 +1371,15 @@ def test_f64_fwsc_forward_peak_holds_one_slab_of_padded_input(monkeypatch):
     assert peak() < bound
     monkeypatch.setattr(kernels, "_SLAB", 10**6)
     assert peak() > bound
+
+
+def test_bank_rejects_non_finite_bias():
+    w = {"weights": np.ones((1, 1, 1, 1, 1))}
+    with pytest.raises(KernelError, match="bias contains non-finite values"):
+        KernelBank("full", 1, 1, 1, w, bias=[np.nan])
+
+
+def test_bank_repr():
+    assert repr(KernelBank.random("dwsc", 3, 2, 2, d_in=4)) == (
+        "KernelBank('dwsc', k=3, c_in=2, c_out=2, d_in=4, d_out=4)")
+    assert repr(KernelBank.random("fwsc", 3, 2, 3)) == "KernelBank('fwsc', k=3, c_in=2, c_out=3)"

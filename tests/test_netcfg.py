@@ -428,3 +428,13 @@ def test_layer_fields_reject_bools(field):
         layer_output_shape(layer, Shape4(1, 2, 3, 4))
     # the same layer with plain integers is fine
     assert layer_output_shape(dataclasses.replace(layer, **{field: 1}), Shape4(1, 2, 3, 4))
+
+
+def test_layer_needs_a_non_empty_id():
+    with pytest.raises(ConfigError, match=r"^layers\[0\]: 'id' must be a non-empty string, got ''$"):
+        _parse(layers=[_layer(id="")])
+
+
+def test_layer_entry_must_be_an_object():
+    with pytest.raises(ConfigError, match=r"^layers\[0\]: expected an object, got int$"):
+        _parse(layers=[3])

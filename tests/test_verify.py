@@ -528,3 +528,33 @@ def test_window_nest_mutant_fails_every_variant(monkeypatch):
 def test_composition_check_rejects_non_integer_seeds(seed):
     with pytest.raises(KernelError, match="seed"):
         composition_check(COMPOSITION_CASES[0], seed=seed)
+
+
+@pytest.mark.parametrize("seeds", [0, -1, 2.5, True])
+def test_run_catalog_rejects_bad_seed_counts(seeds):
+    with pytest.raises(KernelError, match=r"seeds must be an integer >= 1, got "):
+        run_catalog("k1-collapse", seeds=seeds)
+
+
+def test_catalog_builds_only_the_selected_cases_layers(monkeypatch):
+    # every case draws its numbers up front but builds its banks when it
+    # runs, so a filter that skips the gradient cases builds none of theirs
+    built = []
+    orig = KernelBank.random.__func__
+
+    def spy(cls, variant, *args, **kwargs):
+        built.append(variant)
+        return orig(cls, variant, *args, **kwargs)
+
+    monkeypatch.setattr(KernelBank, "random", classmethod(spy))
+    for name_filter, seeds, n_banks in (("k1-collapse", 2, 2), ("grad/fdwsc", 8, 2),
+                                        ("grad/deconv", 8, 4), (None, 8, 92)):
+        built.clear()
+        run_catalog(name_filter, seeds=seeds)
+        assert len(built) == n_banks, name_filter
+
+
+def test_loop_deconv_rejects_channel_mismatch():
+    x = Volume4.random((3, 2, 2, 2), seed=0, dtype=np.float64)
+    with pytest.raises(KernelError, match="input has 3 channels, bank expects 2"):
+        loop_deconv(x, _bank("full", 3, 2, 2))

@@ -18,6 +18,7 @@ from sepconv3d.volume import (
     save_volume,
     splitmix64,
     uniform_open,
+    write_sv3d,
 )
 
 
@@ -381,3 +382,14 @@ def test_negative_zero_and_numpy_integer_seeds_keep_their_streams():
     assert np.array_equal(splitmix64(-1, 5), splitmix64(2**64 - 1, 5))
     assert np.array_equal(splitmix64(np.int64(7), 5), splitmix64(7, 5))
     assert Volume4.random((1, 2, 2, 2), seed=0) == Volume4.random((1, 2, 2, 2), seed=np.uint8(0))
+
+
+def test_zeros_rejects_empty_extents():
+    with pytest.raises(VolumeError, match="all extents must be >= 1"):
+        Volume4.zeros((0, 1, 1, 1))
+
+
+@pytest.mark.parametrize("arr", [np.zeros((1, 1, 1, 1), np.int64), np.zeros((1, 2, 3))])
+def test_write_sv3d_rejects_non_float_or_non_4d_arrays(arr):
+    with pytest.raises(VolumeError, match="SV3D stores 4D float32/float64 arrays"):
+        write_sv3d(io.BytesIO(), arr)
