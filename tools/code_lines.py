@@ -5,8 +5,7 @@ INDENT or DEDENT, and lies outside every module, class and function
 docstring.  A token that spans lines (a multi-line string) counts each
 line it covers.
 
-    python tools/code_lines.py            # one line per module, then the total
-    python tools/code_lines.py FILE...    # the same for the files given
+    python tools/code_lines.py    # one line per module, then the total
 """
 
 from __future__ import annotations
@@ -44,10 +43,9 @@ def code_lines(source: str) -> int:
     return len(lines - _docstring_lines(ast.parse(source)))
 
 
-def main(argv: list) -> int:
-    paths = [Path(a) for a in argv] or sorted(_PACKAGE.glob("*.py"))
+def main() -> int:
     total = 0
-    for path in paths:
+    for path in sorted(_PACKAGE.glob("*.py")):
         n = code_lines(path.read_text(encoding="utf-8"))
         total += n
         print(f"{n:6d}  {path.name}")
@@ -56,4 +54,4 @@ def main(argv: list) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
