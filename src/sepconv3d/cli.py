@@ -63,8 +63,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--config", required=True, help="path to a network config (JSON)")
     p.add_argument("--variant", choices=VARIANTS,
                    help="rewrite every conv3d layer to this variant before counting")
-    p.add_argument("--baseline", choices=VARIANTS,
-                   help="also count this variant and report reduction factors")
+    p.add_argument("--baseline", choices=("full",),
+                   help="also count the config rewritten to full and report reduction factors")
     p.add_argument("--input-size", metavar="CxDxHxW",
                    help="override the config's input extents")
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
@@ -83,8 +83,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--stride", type=int, default=1)
 
     p = sub.add_parser("bench", help="wall-time micro-benchmark on synthetic data")
-    p.add_argument("--op", choices=VARIANTS, help="single op to time")
-    p.add_argument("--compare", metavar="OP[,OP...]",
+    p.add_argument("--compare", required=True, metavar="OP[,OP...]",
                    help="comma-separated ops timed on identical input")
     p.add_argument("--size", required=True, metavar="CxDxHxW",
                    help="input extents, e.g. 32x48x60x132")
@@ -303,21 +302,18 @@ def _cmd_apply(args) -> int:
 # bench
 # ---------------------------------------------------------------------------
 
+# seeds the synthetic input; op i's bank draws from _BENCH_SEED + i + 1
+_BENCH_SEED = 42
+
+
 def _cmd_bench(args) -> int:
-    if args.op and args.compare:
-        raise _UsageError("pass either --op or --compare, not both")
-    if args.compare:
-        ops = [s.strip() for s in args.compare.split(",") if s.strip()]
-        if not ops:
-            raise _UsageError("--compare needs at least one op")
-        for op in ops:
-            if op not in VARIANTS:
-                raise _UsageError(f"unknown op {op!r} in --compare "
-                                  f"(choose from {', '.join(VARIANTS)})")
-    elif args.op:
-        ops = [args.op]
-    else:
-        raise _UsageError("bench needs --op or --compare")
+    ops = [s.strip() for s in args.compare.split(",") if s.strip()]
+    if not ops:
+        raise _UsageError("--compare needs at least one op")
+    for op in ops:
+        if op not in VARIANTS:
+            raise _UsageError(f"unknown op {op!r} in --compare "
+                              f"(choose from {', '.join(VARIANTS)})")
     if args.iters < 3:
         raise _UsageError("--iters must be >= 3")
     if args.warmup < 1:
@@ -325,7 +321,6 @@ def _cmd_bench(args) -> int:
 
     dims = _parse_size(args.size)
     c, d, h, w = dims
-    seed = int(os.environ.get("SEPCONV_SEED", "42"))
 
     import statistics
 
@@ -334,7 +329,7 @@ def _cmd_bench(args) -> int:
     from .netcfg import LayerSpec
     from .volume import Shape4, Volume4
 
-    x = Volume4.random(dims, seed=seed, dtype="float32")
+    x = Volume4.random(dims, seed=_BENCH_SEED, dtype="float32")
     out_c = args.out_channels if args.out_channels is not None else c
 
     results = []
@@ -342,7 +337,7 @@ def _cmd_bench(args) -> int:
         bank = KernelBank.random(
             op, k=args.k, c_in=c, c_out=out_c,
             d_in=(d if op == "dwsc" else None),
-            seed=seed + idx + 1,
+            seed=_BENCH_SEED + idx + 1,
         )
         spec = LayerSpec(id=f"bench-{op}", kind="conv3d", variant=op, k=args.k,
                          stride=1, out_channels=out_c, bias=False, bn=False)
@@ -377,7 +372,7 @@ def _cmd_bench(args) -> int:
         })
 
     if args.format == "json":
-        print(json.dumps({"seed": seed, "results": results}, indent=2))
+        print(json.dumps({"seed": _BENCH_SEED, "results": results}, indent=2))
     else:
         import csv
 

@@ -12,9 +12,9 @@ Three families of checks live here:
   gather form of the scatter for the transposed conv.  The nest returns
   both the computed values and the number of multiply-accumulates it
   executed, so it serves as value oracle and as MAC counter.
-* ``finite_diff_grad`` - central finite differences of the scalar loss
-  vdot(g, output), for an upstream gradient g (ones by default), with
-  respect to every input element and every weight.
+* ``finite_diff_grad`` - central finite differences, at one fixed step,
+  of the scalar loss vdot(g, output), for an upstream gradient g (ones
+  by default), with respect to every input element and every weight.
 * ``composition_check`` - cross-variant identities (a separable op must
   equal its composed stages, collapse to the dense op in degenerate
   settings, and so on).
@@ -32,7 +32,10 @@ want both from one call.
 case draws its numbers (shapes, strides, seeds) from its own stream and
 builds every seeded (input, bank) pair with one builder, ``_layer_case``,
 only when the case runs, so a filtered run builds only the selected
-cases' layers.
+cases' layers.  Every bank derived from another (an identity's second
+bank, the finite differences' copy) comes from one helper,
+``_bank_like``, which takes its extents and, unless replaced, its bias
+and BN vectors from the source bank.
 """
 
 from __future__ import annotations
@@ -88,6 +91,17 @@ def max_rel_err(a, b, floor: float = 1e-12) -> float:
 
 def _max_abs_err(a, b) -> float:
     return float(np.max(np.abs(np.asarray(a, np.float64) - np.asarray(b, np.float64))))
+
+
+_VECS = ("bias", "bn_scale", "bn_shift")
+
+
+def _bank_like(bank: KernelBank, variant: str, arrays: dict, **vecs) -> KernelBank:
+    """A `variant` bank over `arrays` with `bank`'s k, c_in, c_out, d_in
+    and d_out, and its bias and BN vectors unless `vecs` replaces them."""
+    vecs = {**{n: getattr(bank, n) for n in _VECS}, **vecs}
+    return KernelBank(variant, bank.k, bank.c_in, bank.c_out, arrays,
+                      d_in=bank.d_in, d_out=bank.d_out, **vecs)
 
 
 # ----------------------------------------------------------------------
@@ -286,45 +300,36 @@ def counted_forward(x: Volume4, bank: KernelBank, stride: int = 1):
 # finite differences
 # ----------------------------------------------------------------------
 
+# the central differences' step, in every input and parameter
+_STEP = 1e-5
+
 
 def finite_diff_grad(
     x: Volume4,
     bank: KernelBank,
     stride: int = 1,
-    step: float = 1e-5,
     grad_out: Optional[Volume4] = None,
     op: Optional[Callable] = None,
 ) -> dict:
-    """Central differences of loss = vdot(grad_out, op(x, bank, stride))
-    w.r.t. everything; without `grad_out`, of loss = sum(op(x, ...)).
+    """Central differences, at step ``_STEP``, of loss = vdot(grad_out,
+    op(x, bank, stride)) w.r.t. everything; without `grad_out`, of
+    loss = sum(op(x, ...)).
 
     `op` defaults to ``kernels.forward``, whose gradients `backward`
     returns for that `grad_out` (ones when absent); pass
     ``kernels.deconv3d_full`` to check `deconv3d_backward`.  Returns
     {"input": array like x} plus one entry per bank array and per
-    present bias/BN vector.  Requires float64 input; step must lie in
-    [1e-7, 1e-3].
+    present bias/BN vector.  Requires float64 input.
     """
     if x.dtype != np.float64:
         raise KernelError(f"finite differences require float64 input, got {x.dtype}")
-    if not (1e-7 <= step <= 1e-3):
-        raise KernelError(f"step must be within [1e-7, 1e-3], got {step}")
     g = None if grad_out is None else np.asarray(grad_out.array, dtype=np.float64)
     op = _k.forward if op is None else op
 
     # one bank over copies of the arrays and vectors; the central
     # differences perturb those copies in place
-    vecs = {n: getattr(bank, n) for n in ("bias", "bn_scale", "bn_shift")}
-    b = KernelBank(
-        bank.variant,
-        bank.k,
-        bank.c_in,
-        bank.c_out,
-        {n: a.copy() for n, a in bank.arrays.items()},
-        d_in=bank.d_in,
-        d_out=bank.d_out,
-        **{n: v.copy() for n, v in vecs.items() if v is not None},
-    )
+    b = _bank_like(bank, bank.variant, {n: a.copy() for n, a in bank.arrays.items()},
+                   **{n: getattr(bank, n).copy() for n in _VECS if getattr(bank, n) is not None})
     xa = x.to_numpy()
 
     def loss() -> float:
@@ -343,16 +348,16 @@ def finite_diff_grad(
         gfl = grad.reshape(-1)
         for j in range(fl.size):
             keep = fl[j]
-            fl[j] = keep + step
+            fl[j] = keep + _STEP
             up = loss()
-            fl[j] = keep - step
+            fl[j] = keep - _STEP
             dn = loss()
             fl[j] = keep
-            gfl[j] = (up - dn) / (2.0 * step)
+            gfl[j] = (up - dn) / (2.0 * _STEP)
         return grad
 
     grads = {"input": _central(xa)}
-    for name, arr in {**b.arrays, **{n: getattr(b, n) for n in vecs}}.items():
+    for name, arr in {**b.arrays, **{n: getattr(b, n) for n in _VECS}}.items():
         if arr is not None:
             grads[name] = _central(arr)
     return grads
@@ -412,11 +417,7 @@ def composition_check(case: str, seed: int = 0) -> OracleReport:
         cube = np.einsum(
             "ca,cbe->cabe", fd.arrays["disparity"], fd.arrays["spatial"]
         )  # W[d-tap, h-tap, w-tap] = D[d-tap] * S[h-tap, w-tap], per channel
-        fw = KernelBank(
-            "fwsc", k, ci, co,
-            {"depthwise": cube, "pointwise": fd.arrays["pointwise"]},
-            bias=fd.bias, bn_scale=fd.bn_scale, bn_shift=fd.bn_shift,
-        )
+        fw = _bank_like(fd, "fwsc", {"depthwise": cube, "pointwise": fd.arrays["pointwise"]})
         a = _k.conv3d_fdwsc(x, fd, stride)
         b = _k.conv3d_fwsc(x, fw, stride)
         return _report(case, a.array, b.array, tol=1e-6, note=f"k={k} s={stride} ci={ci} co={co}")
@@ -425,10 +426,7 @@ def composition_check(case: str, seed: int = 0) -> OracleReport:
         co = int(rng.integers(1, 5))
         x, fw = _layer_case("fwsc", k, 1, co, 5, 6, 7, seed, seed)
         dense = np.einsum("oi,iabe->oiabe", fw.arrays["pointwise"], fw.arrays["depthwise"])
-        fu = KernelBank(
-            "full", k, 1, co, {"weights": dense},
-            bias=fw.bias, bn_scale=fw.bn_scale, bn_shift=fw.bn_shift,
-        )
+        fu = _bank_like(fw, "full", {"weights": dense})
         a = _k.conv3d_fwsc(x, fw, stride)
         b = _k.conv3d_full(x, fu, stride)
         return _report(case, a.array, b.array, tol=1e-6, note=f"k={k} s={stride} co={co}")
@@ -436,11 +434,8 @@ def composition_check(case: str, seed: int = 0) -> OracleReport:
     if case == "dwsc-d1-vs-cube-conv":
         ci = int(rng.integers(1, 5))
         x, dw = _layer_case("dwsc", k, ci, ci, 1, 6, 7, seed, seed, bias=False, bn=False)
-        one = KernelBank(
-            "dwsc", k, ci, ci,
-            {"depthwise": dw.arrays["depthwise"], "pointwise": np.array([[1.0]])},
-            d_in=1,
-        )
+        one = _bank_like(dw, "dwsc", {"depthwise": dw.arrays["depthwise"],
+                                      "pointwise": np.array([[1.0]])})
         a = _k.conv3d_dwsc(x, one, 1)
         cube_in = x.permute((1, 0, 2, 3))  # (1, c, h, w): the lone slice as one cube
         ref = _k.depthwise_cube(cube_in, one.arrays["depthwise"], 1).permute((1, 0, 2, 3))
@@ -450,20 +445,10 @@ def composition_check(case: str, seed: int = 0) -> OracleReport:
         ci, co = int(rng.integers(1, 5)), int(rng.integers(1, 5))
         x, pw = _layer_case("fwsc", 1, ci, co, 4, 5, 6, seed, seed)
         mix = pw.arrays["pointwise"]
-        fu = KernelBank(
-            "full", 1, ci, co, {"weights": mix.reshape(co, ci, 1, 1, 1)},
-            bias=pw.bias, bn_scale=pw.bn_scale, bn_shift=pw.bn_shift,
-        )
-        fw = KernelBank(
-            "fwsc", 1, ci, co,
-            {"depthwise": np.ones((ci, 1, 1, 1)), "pointwise": mix},
-            bias=pw.bias, bn_scale=pw.bn_scale, bn_shift=pw.bn_shift,
-        )
-        fd = KernelBank(
-            "fdwsc", 1, ci, co,
-            {"spatial": np.ones((ci, 1, 1)), "disparity": np.ones((ci, 1)), "pointwise": mix},
-            bias=pw.bias, bn_scale=pw.bn_scale, bn_shift=pw.bn_shift,
-        )
+        fu = _bank_like(pw, "full", {"weights": mix.reshape(co, ci, 1, 1, 1)})
+        fw = _bank_like(pw, "fwsc", {"depthwise": np.ones((ci, 1, 1, 1)), "pointwise": mix})
+        fd = _bank_like(pw, "fdwsc", {"spatial": np.ones((ci, 1, 1)), "disparity": np.ones((ci, 1)),
+                                      "pointwise": mix})
         a = _k.conv3d_full(x, fu, stride).array
         b = _k.conv3d_fwsc(x, fw, stride).array
         c = _k.conv3d_fdwsc(x, fd, stride).array
@@ -613,7 +598,7 @@ def _grad_check(name: str, draws: list, op, bwd) -> OracleReport:
         y = op(x, bank, stride)
         gout = Volume4.random(y.dims, seed=gseed, dtype=np.float64)
         gin, grads = bwd(x, bank, gout, stride)
-        fd = finite_diff_grad(x, bank, stride, step=1e-5, grad_out=gout, op=op)
+        fd = finite_diff_grad(x, bank, stride, grad_out=gout, op=op)
         worst_rel = max(worst_rel, max_rel_err(fd["input"], gin.array, floor=1e-6))
         for gname, g in grads.items():
             worst_rel = max(worst_rel, max_rel_err(fd[gname], g, floor=1e-6))

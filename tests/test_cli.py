@@ -8,9 +8,11 @@ import io
 import itertools
 import json
 import os
+import shlex
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,6 +65,14 @@ def test_profile_baseline_on_itself_is_unity(capsys):
         "--baseline", "full", "--format", "json",
     )
     assert rep["reduction_vs_full"] == {"ops": 1.0, "params": 1.0}
+
+
+def test_profile_baseline_is_full_only(capsys):
+    # every reduction is reported against full, so no other baseline parses
+    code, out, err = _run(capsys, "profile", "--config", _config_path("ganet11-3d"),
+                          "--variant", "fdwsc", "--baseline", "fwsc")
+    assert (code, out) == (1, "")
+    assert "invalid choice" in err
 
 
 def test_profile_fwsc_reduction_ganet11(capsys):
@@ -459,7 +469,7 @@ def test_apply_volume_header_claims_more_than_the_file(identity_setup, capsys, t
 
 def test_bench_single_op_json(capsys):
     rep = _run_json(
-        capsys, "bench", "--op", "full", "--size", "2x3x4x5",
+        capsys, "bench", "--compare", "full", "--size", "2x3x4x5",
         "--iters", "3", "--warmup", "1", "--format", "json",
     )
     assert rep["seed"] == 42
@@ -471,15 +481,6 @@ def test_bench_single_op_json(capsys):
     assert len(row["times_s"]) == 3
     assert row["speedup_vs_first"] == 1.0
     assert row["median_s"] >= 0.0
-
-
-def test_bench_seed_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("SEPCONV_SEED", "7")
-    rep = _run_json(
-        capsys, "bench", "--op", "fwsc", "--size", "2x3x4x5",
-        "--iters", "3", "--warmup", "1", "--format", "json",
-    )
-    assert rep["seed"] == 7
 
 
 def test_bench_compare_csv(capsys):
@@ -500,7 +501,7 @@ def test_bench_thread_pinning_env(capsys, monkeypatch):
     for var in cli._THREAD_VARS:
         monkeypatch.setenv(var, "sentinel")
     code, *_ = _run(
-        capsys, "bench", "--op", "fdwsc", "--size", "2x3x4x5",
+        capsys, "bench", "--compare", "fdwsc", "--size", "2x3x4x5",
         "--iters", "3", "--warmup", "1", "--threads", "3",
     )
     assert code == 0
@@ -513,7 +514,7 @@ def test_bench_rejects_threads_below_one(capsys, monkeypatch, threads):
     for var in cli._THREAD_VARS:
         monkeypatch.setenv(var, "sentinel")
     code, out, err = _run(
-        capsys, "bench", "--op", "fwsc", "--size", "2x3x4x5",
+        capsys, "bench", "--compare", "fwsc", "--size", "2x3x4x5",
         "--iters", "3", "--warmup", "1", "--threads", threads, "--format", "json",
     )
     assert code == 1
@@ -525,16 +526,14 @@ def test_bench_rejects_threads_below_one(capsys, monkeypatch, threads):
 @pytest.mark.parametrize(
     "argv, needle",
     [
-        (("bench", "--size", "2x3x4x5"), "--op or --compare"),
-        (("bench", "--op", "full", "--compare", "fwsc", "--size", "2x3x4x5"),
-         "not both"),
+        (("bench", "--size", "2x3x4x5"), "the following arguments are required: --compare"),
         (("bench", "--compare", " , ", "--size", "2x3x4x5"), "at least one op"),
         (("bench", "--compare", "full,conv2d", "--size", "2x3x4x5"), "unknown op"),
-        (("bench", "--op", "full", "--size", "2x3x4x5", "--iters", "2"),
+        (("bench", "--compare", "full", "--size", "2x3x4x5", "--iters", "2"),
          "--iters must be >= 3"),
-        (("bench", "--op", "full", "--size", "2x3x4x5", "--warmup", "0"),
+        (("bench", "--compare", "full", "--size", "2x3x4x5", "--warmup", "0"),
          "--warmup must be >= 1"),
-        (("bench", "--op", "full", "--size", "2x3x4"), "invalid size"),
+        (("bench", "--compare", "full", "--size", "2x3x4"), "invalid size"),
     ],
 )
 def test_bench_flag_validation(capsys, argv, needle):
@@ -545,15 +544,51 @@ def test_bench_flag_validation(capsys, argv, needle):
 
 def test_bench_dwsc_rejects_channel_change(capsys):
     code, _, err = _run(
-        capsys, "bench", "--op", "dwsc", "--size", "2x3x4x5",
+        capsys, "bench", "--compare", "dwsc", "--size", "2x3x4x5",
         "--out-channels", "3", "--iters", "3", "--warmup", "1",
     )
     assert code == 1
+    assert "dwsc preserves the channel count" in err
 
 
 # ----------------------------------------------------------------------
 # top-level plumbing
 # ----------------------------------------------------------------------
+
+_README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_commands():
+    """Every `sepconv3d ...` command in README's code blocks, with its
+    backslash continuations joined, as the argv after the program name."""
+    commands, in_block, pending = [], False, None
+    for line in _README.read_text().splitlines():
+        if line.startswith("```"):
+            in_block = not in_block
+            continue
+        text = line.strip().removeprefix("$ ")
+        if pending is not None:
+            pending += " " + text
+        elif in_block and text.startswith("sepconv3d "):
+            pending = text
+        else:
+            continue
+        if pending.endswith("\\"):
+            pending = pending[:-1]
+        else:
+            commands.append(shlex.split(pending)[1:])
+            pending = None
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == {"profile", "check", "apply", "bench"}
+    for argv in commands:
+        try:
+            cli._build_parser().parse_args(argv)
+        except cli._UsageError as exc:
+            pytest.fail(f"README shows `sepconv3d {' '.join(argv)}`: {exc}")
 
 
 def test_no_command_prints_usage(capsys):
@@ -590,7 +625,7 @@ def test_apply_rejects_bool_k_in_sidecar(identity_setup, capsys):
 
 def test_bench_reports_gmac_per_s(capsys):
     rep = _run_json(
-        capsys, "bench", "--op", "fwsc", "--size", "2x3x4x5",
+        capsys, "bench", "--compare", "fwsc", "--size", "2x3x4x5",
         "--iters", "3", "--warmup", "1", "--format", "json",
     )
     (row,) = rep["results"]
