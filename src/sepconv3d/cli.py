@@ -76,7 +76,8 @@ def _build_parser() -> _Parser:
                    help="seeds per composition case (default 8)")
 
     p = sub.add_parser("apply", help="run one layer over a volume file")
-    p.add_argument("--op", choices=VARIANTS, required=True)
+    p.add_argument("--op", choices=VARIANTS,
+                   help="the layer's variant; read from the weight bundle, and checked when given")
     p.add_argument("--weights", required=True, help="weight bundle (JSON sidecar path)")
     p.add_argument("--input", required=True, help="input volume (.sv3d)")
     p.add_argument("--output", required=True, help="output volume (.sv3d)")
@@ -288,7 +289,7 @@ def _cmd_apply(args) -> int:
     from .volume import load_volume, save_volume
 
     bank = load_bank(args.weights)
-    if bank.variant != args.op:
+    if args.op is not None and bank.variant != args.op:
         raise _UsageError(
             f"weight bundle holds a {bank.variant!r} layer but --op is {args.op!r}"
         )

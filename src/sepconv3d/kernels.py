@@ -57,35 +57,35 @@ upstream gradient in that layout without a copy.  Every other exit --
 a dense or scatter stage, a standalone window, the backward's input
 gradient -- is one copy made a leading slice at a time
 (``_channels_first``).  Every window stage -- dense or per-slice --
-runs as one einsum per slab of output planes over a strided window
-view (a scatter stage: per slab of each output phase).  A slab is
-``_SLAB`` planes along the leading stage axis (d, or c for dwsc); it
-reads only the input planes its windows reach, padded along that axis
-only where it meets the volume's edge, and writes its planes of the
-stage's output (``_by_slab``).  So at its peak a window stage holds its
-output, or the next window's zero-haloed buffer it writes into, plus
-one slab's padded float64 input, never a padded copy of its whole
-input.  A stage whose input is already padded (``_Haloed``) or whose
-output is one slab or less runs as one einsum.  Every output adds its
-products in the same order at any slab height, so results are
-bit-identical.  Taps are gathered in place, never packed into
-im2col-style buffers, so wall-time tracks the stage's multiply count
-and the benchmark compares layouts rather than copy machinery.  The
-contraction streams the channel (or slice) axis innermost, contiguous
-in both operands, and fuses it with a neighbouring axis into one long
-contiguous run, because at these sizes an einsum's innermost loop pays
-more in per-loop overhead than in memory traffic: dense and scatter
-stages share one dense-window engine, whose innermost window axis and
-channel axis are read as one reduction axis of kc*c_in values, and
-per-slice stages window only their non-unit kernel axes and read the
-output's w sites and their slices as one run of C'*n values, against
-weights tiled along it (``_slice_window``); a window along d alone
-(fdwsc's k*1*1) runs that einsum once per h row, so each tap streams
-one row, not a whole plane.  1x1x1 mixes are plain
-matrix products over the flattened sites.  Two window stages in a row
-(fdwsc's) share one padded buffer: the first writes its result into
-the interior of the second's zero-haloed buffer, so the second pads
-nothing, and the backward keeps that buffer as the second's input.
+runs one slab of output planes at a time (a scatter stage: per slab
+of each output phase).  A slab is ``_SLAB`` planes along the leading
+stage axis (d, or c for dwsc); it reads only the input planes its
+windows reach, padded along that axis only where it meets the volume's
+edge, and writes its planes of the stage's output (``_by_slab``).  So
+at its peak a window stage holds its output, or the next window's
+zero-haloed buffer it writes into, plus one slab's padded float64
+input, never a padded copy of its whole input.  A stage whose input is
+already padded (``_Haloed``) or whose output is one slab or less runs
+in one call.  Every output adds its products in the same order at any
+slab height, so results are bit-identical.  At these sizes an einsum's innermost loop pays more in
+per-loop overhead than in memory traffic, so both engines make that
+loop one long contiguous run.  The dense engine, which dense and
+scatter stages share, packs the taps of a chunk of output rows into one
+reused column buffer of about ``_COLS`` bytes, laid out (ka, kb, kc,
+c_in, sites) as in im2col, and runs one einsum whose innermost loop is
+the chunk's sites; it copies the (c_out, sites) result transposed into
+the output (``_dense_window``).  Each output still adds its products
+one at a time from 0.0 in (a, b, c, c_in) order.  The per-slice engine
+gathers its taps in place through a strided window view of only its
+non-unit kernel axes, and reads the output's w sites and their slices
+as one run of C'*n values, against weights tiled along it
+(``_slice_window``); a window along d alone (fdwsc's k*1*1) runs that
+einsum once per h row, so each tap streams one row, not a whole plane.
+1x1x1 mixes are plain matrix products over the flattened sites.  Two
+window stages in a row (fdwsc's) share one padded buffer: the first
+writes its result into the interior of the second's zero-haloed
+buffer, so the second pads nothing, and the backward keeps that buffer
+as the second's input.
 
 The backward runs on the same engines.  A strided window's gradient
 with respect to its input is its transpose, a scatter: one phase loop
@@ -421,6 +421,12 @@ def _buffer(x, pads) -> np.ndarray:
 # both engines timed alike at heights 2 to 24 (2-vCPU Xeon, 1 thread).
 _SLAB = 8
 
+# Bytes of the dense engine's column buffer: each chunk of output rows
+# packs its taps into one buffer of about this size (at least one row),
+# so the einsum's innermost loop runs over rows*C' sites.  At 1 MiB a
+# k=3, 32-channel column holds 151 sites.
+_COLS = 1 << 20
+
 
 def _by_slab(engine, x, ks, pads, strides, out: np.ndarray) -> np.ndarray:
     """Run a window engine one slab of `_SLAB` output planes at a time.
@@ -482,28 +488,61 @@ def _window_view(xp: np.ndarray, ks, strides, fuse=False):
 def _dense_window(x, wt: np.ndarray, pads, strides, out=None) -> np.ndarray:
     """Dense window + channel mix, the one dense engine.
 
-    x: (A, B, C, ci) float32 or float64; wt: (ci, ka, kb, kc, co).  One
-    einsum per slab (`_by_slab`) over a strided window view of the
-    slab's padded input whose innermost window axis is fused with the
-    channel axis: the kc taps along C of ci channels each are one
-    contiguous run of kc*ci values, so the view reads them as a single
-    reduction axis K = tap*ci + channel without packing anything.  The
-    output channel is innermost in the weights and the result.  Returns
-    the (A', B', C', co) result, written into `out` when given.
+    x: (A, B, C, ci) float32 or float64; wt: (ci, ka, kb, kc, co).  Runs
+    one slab at a time (`_by_slab`).  Within a slab, each output plane
+    runs in chunks of whole output rows: the chunk's taps are copied
+    from the slab's padded input into one reused column buffer laid out
+    (ka, kb, kc, ci, rows*C'), about `_COLS` bytes, and one einsum
+    contracts it with the weights (ka, kb, kc, ci, co) into a reused
+    (co, rows*C') result, which is copied transposed into the chunk's
+    rows of `out` (a strided scatter phase takes the same copy).  The
+    innermost loop thus runs over the chunk's rows*C' sites, not over
+    the co output channels, so it pays its per-loop overhead once per
+    long contiguous run.  Every output still adds its products one at a
+    time from 0.0 in (a, b, c, ci) order, the columns' reduction strides
+    decreasing in that order, so the bits do not depend on the chunk
+    or the slab.  A single output channel keeps the einsum over the
+    strided window view whose innermost window axis is fused with the
+    channel axis (K = tap*ci + channel): there einsum drops the unit
+    axis and totals K with its dot kernel, which rounds differently from
+    the chain the columns would make.  Returns the (A', B', C', co)
+    result, written into `out` when given.
     """
-    ks, ci = wt.shape[1:4], wt.shape[0]
-    wt = np.ascontiguousarray(wt.transpose(1, 2, 3, 0, 4)).reshape(ks[0], ks[1], ks[2] * ci, -1)
+    ci, ks, co = wt.shape[0], wt.shape[1:4], wt.shape[4]
+    wt = np.ascontiguousarray(wt.transpose(1, 2, 3, 0, 4))
     if out is None:
-        out = np.empty(_grid(x, ks, pads, strides) + [wt.shape[-1]])
+        out = np.empty(_grid(x, ks, pads, strides) + [co])
+    if co == 1:
+        wt = wt.reshape(ks[0], ks[1], ks[2] * ci, 1)
+
+        def engine(xp, out):
+            win = as_strided(
+                xp,
+                shape=_grid(xp, ks, [(0, 0)] * 3, strides) + list(wt.shape[:3]),
+                strides=[st * s for st, s in zip(xp.strides, strides)] + [*xp.strides[:2], xp.itemsize],
+                writeable=False,
+            )
+            np.einsum("zyxabK,abKo->zyxo", win, wt, out=out, optimize=False)
+
+        return _by_slab(engine, x, ks, pads, strides, out)
+
+    taps, (B, C) = wt.shape[:4], out.shape[1:3]
+    row = math.prod(taps) * C  # the columns of one output row
+    rows = min(B, max(1, _COLS // (8 * row)))
+    cols, res = np.empty(row * rows), np.empty(co * rows * C)
 
     def engine(xp, out):
-        win = as_strided(
-            xp,
-            shape=[(m - k) // s + 1 for m, k, s in zip(xp.shape, ks, strides)] + list(wt.shape[:3]),
-            strides=[st * s for st, s in zip(xp.strides, strides)] + list(xp.strides[:2]) + [xp.itemsize],
-            writeable=False,
-        )
-        np.einsum("zyxabK,abKo->zyxo", win, wt, out=out, optimize=False)
+        sa, sb, sc = strides
+        st = (*xp.strides, xp.strides[1] * sb, xp.strides[2] * sc)
+        for z, y in itertools.product(range(out.shape[0]), range(0, B, rows)):
+            r = min(rows, B - y)
+            col = cols[: row * r].reshape(*taps, r, C)
+            # a plain strided view: as_strided's per-call dict and wrapper,
+            # made once per chunk, moved the full forward's peak RSS by 9%
+            col[...] = np.ndarray(col.shape, xp.dtype, xp, z * sa * st[0] + y * sb * st[1], st)
+            chunk = res[: co * r * C].reshape(co, r * C)
+            np.einsum("abcin,abcio->on", col.reshape(*taps, r * C), wt, out=chunk, optimize=False)
+            out[z, y : y + r] = chunk.reshape(co, r, C).transpose(1, 2, 0)
 
     return _by_slab(engine, x, ks, pads, strides, out)
 
@@ -518,16 +557,17 @@ def _slice_window(x, w: np.ndarray, pads, strides, out=None) -> np.ndarray:
     (k*k over h,w; k over d) gather exactly their own taps.  The
     innermost loop runs over one contiguous run per (A', B') row: the
     output's C' sites and their n slices, C'*n values, against the
-    weights tiled C' times along it -- the same trick as the dense
-    engine's kc*ci axis.  A loop n values long spends its time on
-    per-loop overhead, not on memory traffic.  The run needs stride 1
-    along C and an `out` whose (C', n) block is contiguous; otherwise
-    (a strided phase of a scatter) the loop runs over the n slices of
-    each site, written straight into `out`.  Both forms add each
-    output's products one at a time in tap order, so their results are
-    bit-identical.  A single slice keeps the per-site form: there
-    einsum's innermost loop is the sum over the C taps, which it totals
-    before adding it to the output, so the run would round differently.
+    weights tiled C' times along it.  A loop n values long spends its
+    time on per-loop overhead, not on memory traffic.  The run needs
+    stride 1 along C.  When `out`'s (C', n) block is not contiguous (a
+    strided phase of a scatter), each output plane runs into one
+    contiguous temporary, which is then copied into `out`.  With a
+    stride along C the loop runs over the n slices of each site,
+    written straight into `out`.  Both forms add each output's products
+    one at a time in tap order, so their results are bit-identical.  A
+    single slice keeps the per-site form: there einsum's innermost loop
+    is the sum over the C taps, which it totals before adding it to the
+    output, so the run would round differently.
     A window along A alone (fdwsc's k*1*1) runs one einsum per B' row:
     in one call einsum's iterator puts the tap loop outside the B' loop,
     because the tap's stride equals A's, so each tap would stream a
@@ -538,19 +578,29 @@ def _slice_window(x, w: np.ndarray, pads, strides, out=None) -> np.ndarray:
     n, ks = w.shape[0], w.shape[1:]
     if out is None:
         out = np.empty(_grid(x, ks, pads, strides) + [n])
-    fuse = n > 1 and strides[2] == 1 and out[0, 0].flags.c_contiguous
+    fuse = n > 1 and strides[2] == 1
     run = out.shape[2] * n if fuse else n
     tile = np.empty((math.prod(ks), run // n, n))
     tile[...] = w.reshape(n, -1).T[:, None]
 
     def engine(xp, out):
         win, taps = _window_view(xp, ks, strides, fuse)
-        wt, y = tile.reshape(win.shape[4:] + (run,)), out.reshape(win.shape[:4])
-        if taps == "a":
-            for b in range(y.shape[1]):
-                np.einsum("zxRa,aR->zxR", win[:, b], wt, out=y[:, b], optimize=False)
-        else:
-            np.einsum(f"zyxR{taps},{taps}R->zyxR", win, wt, out=y, optimize=False)
+        wt = tile.reshape(win.shape[4:] + (run,))
+
+        def fill(win, y):
+            if taps == "a":
+                for b in range(y.shape[1]):
+                    np.einsum("zxRa,aR->zxR", win[:, b], wt, out=y[:, b], optimize=False)
+            else:
+                np.einsum(f"zyxR{taps},{taps}R->zyxR", win, wt, out=y, optimize=False)
+
+        if not fuse or out[0, 0].flags.c_contiguous:
+            fill(win, out.reshape(win.shape[:4]))
+            return
+        tmp = np.empty(out.shape[1:])  # a strided scatter phase: one plane at a time
+        for z in range(out.shape[0]):
+            fill(win[z : z + 1], tmp.reshape((1,) + win.shape[1:4]))
+            out[z] = tmp
 
     return _by_slab(engine, x, ks, pads, strides, out)
 

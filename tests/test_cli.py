@@ -387,6 +387,20 @@ def test_apply_op_mismatch(identity_setup, capsys):
     assert "'full'" in err and "'fwsc'" in err
 
 
+def test_apply_reads_the_op_from_the_bundle(capsys, tmp_path):
+    vin = tmp_path / "in.sv3d"
+    save_volume(vin, Volume4.random((3, 4, 5, 6), seed=13))
+    wpath = tmp_path / "fwsc.json"
+    save_bank(wpath, KernelBank.random("fwsc", 3, 3, 2, seed=14, bias=True, bn=True))
+    outs = []
+    for op in ((), ("--op", "fwsc")):
+        outs.append(tmp_path / f"out{len(outs)}.sv3d")
+        code, _, err = _run(capsys, "apply", *op, "--weights", str(wpath), "--input", str(vin),
+                            "--output", str(outs[-1]), "--stride", "2")
+        assert code == 0, err
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_apply_shape_mismatch(identity_setup, capsys, tmp_path):
     _, wpath, tmp = identity_setup
     wrong = tmp_path / "wrong.sv3d"

@@ -806,6 +806,90 @@ def test_dense_outputs_are_pinned():
 
 
 # ----------------------------------------------------------------------
+# the dense engine's arithmetic and its column chunks
+# ----------------------------------------------------------------------
+
+
+def _chain(x, w, o, rules):
+    """Output channel o at one site as a Python-float chain: acc = acc +
+    x*w from 0.0, in (a, b, c, c_in) order.  x: (ci, D, H, W); w: (co, ci,
+    ka, kb, kc); rules: per axis, the (tap, input index or None) pairs of
+    this site in summation order, None reading the zero padding."""
+    acc = 0.0
+    for (ta, ia), (tb, ib), (tc, ic) in itertools.product(*rules):
+        for i in range(x.shape[0]):
+            v = 0.0 if None in (ia, ib, ic) else float(x[i, ia, ib, ic])
+            acc = acc + v * float(w[o, i, ta, tb, tc])
+    return acc
+
+
+@pytest.mark.parametrize("co", [2, 3])
+def test_dense_outputs_are_the_plain_multiply_add_chain(co):
+    # The bit pins rest on this: every output of a dense window with c_out
+    # >= 2 adds its products one at a time from 0.0 in (a, b, c, c_in)
+    # order, with no fused multiply-add, at stride 2 and in a stride-2
+    # transposed conv's phase r = 1 (reversed taps 0 and 2 per axis, which
+    # read inputs q and q + 1).
+    k, s, p = 3, 2, 1
+    bank = KernelBank.random("full", k, 3, co, seed=co)
+    w = bank.arrays["weights"]
+    x = Volume4.random((3, 3, 4, 5), seed=co + 1, dtype=np.float64)
+    a = x.array
+
+    def at(i, n):
+        return i if 0 <= i < n else None
+
+    y = conv3d_full(x, bank, s).array
+    for o, *site in itertools.product(range(co), *map(range, y.shape[1:])):
+        rules = [[(t, at(s * q + t - p, n)) for t in range(k)] for q, n in zip(site, a.shape[1:])]
+        assert y[(o, *site)] == _chain(a, w, o, rules)
+    y = deconv3d_full(x, bank, s).array
+    for o, *site in itertools.product(range(co), *map(range, a.shape[1:])):
+        rules = [[(2, q), (0, at(q + 1, n))] for q, n in zip(site, a.shape[1:])]
+        assert y[(o, *(s * q + 1 for q in site))] == _chain(a, w, o, rules)
+
+
+# SHA-256 over conv3d_full, deconv3d_full and deconv3d_backward at the
+# workload's channel counts, recorded before the dense engine packed its
+# taps into column chunks.  Every output plane spans at least two row
+# chunks at stride 1 (and conv3d_full at stride 2), and every op at least
+# two slabs.
+_DENSE_CHUNK_SWEEP_SHA256 = "a645bbf04943cced7a3a75385279d8edc29ebe0ca2acc5116ed59d9ada351a43"
+_CHUNK_CHANNELS = ((32, 32), (32, 48), (48, 32), (80, 80), (2, 1))
+
+
+def test_dense_column_chunks_are_pinned():
+    h = hashlib.sha256()
+
+    def put(tag, arrays):
+        for a in arrays:
+            h.update(f"{tag} {a.dtype} {a.shape}".encode())
+            h.update(np.ascontiguousarray(a).tobytes())
+
+    for (ci, co), s, dtype in itertools.product(_CHUNK_CHANNELS, (1, 2), (np.float32, np.float64)):
+        tag = f"{ci}->{co} s={s} {np.dtype(dtype).name}"
+        seed = ci + co + s
+        bank = KernelBank.random("full", 3, ci, co, seed=seed, bias=True, bn=True)
+        x = Volume4.random((ci, 9 * s, 14 * s, 12 * s), seed=seed, dtype=dtype)
+        put(f"conv3d_full {tag}", [conv3d_full(x, bank, s).array])
+        x = Volume4.random((ci, 9, 14, 12), seed=seed + 1, dtype=dtype)
+        g = Volume4.random((co, 9 * s, 14 * s, 12 * s), seed=seed + 2, dtype=np.float64)
+        put(f"deconv3d_full {tag}", [deconv3d_full(x, bank, s).array])
+        put(f"deconv3d_backward {tag}", _flat(deconv3d_backward(x, bank, g, s)))
+    assert h.hexdigest() == _DENSE_CHUNK_SWEEP_SHA256
+
+
+def test_dense_chunk_sweep_spans_row_chunks_and_slabs():
+    # the sweep's output planes are 14 rows of 12 sites, 9 planes deep
+    from sepconv3d import kernels
+
+    assert 9 > kernels._SLAB
+    for ci, co in _CHUNK_CHANNELS:
+        if co > 1:
+            assert kernels._COLS // (8 * 27 * ci * 12) < 14
+
+
+# ----------------------------------------------------------------------
 # booleans are not integers
 # ----------------------------------------------------------------------
 
