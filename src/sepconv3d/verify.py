@@ -29,13 +29,16 @@ pairs the production forward output with that count for callers that
 want both from one call.
 
 ``run_catalog`` is the `check` suite over these three families.  Each
-case draws its numbers (shapes, strides, seeds) from its own stream and
-builds every seeded (input, bank) pair with one builder, ``_layer_case``,
-only when the case runs, so a filtered run builds only the selected
-cases' layers.  Every bank derived from another (an identity's second
-bank, the finite differences' copy) comes from one helper,
-``_bank_like``, which takes its extents and, unless replaced, its bias
-and BN vectors from the source bank.
+case draws its numbers (shapes, strides, seeds) from its own
+``volume.IntStream``, the package's counter-mode splitmix64 stream read
+as integers, so the cases do not depend on numpy's RNG and `check`
+never imports ``numpy.random``.  Each case builds every seeded (input,
+bank) pair with one builder, ``_layer_case``, only when the case runs,
+so a filtered run builds only the selected cases' layers.  Every bank
+derived from another (an identity's second bank, the finite
+differences' copy) comes from one helper, ``_bank_like``, which takes
+its extents and, unless replaced, its bias and BN vectors from the
+source bank.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from . import costs as _costs
 from . import kernels as _k
 from .kernels import KernelBank, KernelError
 from .netcfg import LayerSpec, is_int
-from .volume import Volume4
+from .volume import IntStream, Volume4
 
 __all__ = [
     "COMPOSITION_CASES",
@@ -397,12 +400,12 @@ def composition_check(case: str, seed: int = 0) -> OracleReport:
     """Run one catalog case on seeded random data."""
     if not is_int(seed):
         raise KernelError(f"seed must be an integer, got {seed!r}")
-    rng = np.random.default_rng(seed + 0x5EC0)
-    k = int(rng.choice([1, 3]))
-    stride = int(rng.choice([1, 2]))
+    rng = IntStream(seed + 0x5EC0)
+    k = rng.choice((1, 3))
+    stride = rng.choice((1, 2))
 
     if case == "fwsc-vs-stages":
-        ci, co = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        ci, co = rng.integers(1, 5), rng.integers(1, 5)
         x, bank = _layer_case("fwsc", k, ci, co, 4, 6, 8, seed, seed)
         fused = _k.conv3d_fwsc(x, bank, stride)
         mid = _k.depthwise_cube(x, bank.arrays["depthwise"], stride)
@@ -412,7 +415,7 @@ def composition_check(case: str, seed: int = 0) -> OracleReport:
                        note=f"k={k} s={stride} ci={ci} co={co}")
 
     if case == "fdwsc-rank1-vs-fwsc":
-        ci, co = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        ci, co = rng.integers(1, 5), rng.integers(1, 5)
         x, fd = _layer_case("fdwsc", k, ci, co, 5, 6, 7, seed, seed)
         cube = np.einsum(
             "ca,cbe->cabe", fd.arrays["disparity"], fd.arrays["spatial"]
@@ -423,7 +426,7 @@ def composition_check(case: str, seed: int = 0) -> OracleReport:
         return _report(case, a.array, b.array, tol=1e-6, note=f"k={k} s={stride} ci={ci} co={co}")
 
     if case == "fwsc-c1-vs-full":
-        co = int(rng.integers(1, 5))
+        co = rng.integers(1, 5)
         x, fw = _layer_case("fwsc", k, 1, co, 5, 6, 7, seed, seed)
         dense = np.einsum("oi,iabe->oiabe", fw.arrays["pointwise"], fw.arrays["depthwise"])
         fu = _bank_like(fw, "full", {"weights": dense})
@@ -432,7 +435,7 @@ def composition_check(case: str, seed: int = 0) -> OracleReport:
         return _report(case, a.array, b.array, tol=1e-6, note=f"k={k} s={stride} co={co}")
 
     if case == "dwsc-d1-vs-cube-conv":
-        ci = int(rng.integers(1, 5))
+        ci = rng.integers(1, 5)
         x, dw = _layer_case("dwsc", k, ci, ci, 1, 6, 7, seed, seed, bias=False, bn=False)
         one = _bank_like(dw, "dwsc", {"depthwise": dw.arrays["depthwise"],
                                       "pointwise": np.array([[1.0]])})
@@ -442,7 +445,7 @@ def composition_check(case: str, seed: int = 0) -> OracleReport:
         return _report(case, a.array, ref.array, tol=1e-6, note=f"k={k} ci={ci}")
 
     if case == "k1-collapse":
-        ci, co = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        ci, co = rng.integers(1, 5), rng.integers(1, 5)
         x, pw = _layer_case("fwsc", 1, ci, co, 4, 5, 6, seed, seed)
         mix = pw.arrays["pointwise"]
         fu = _bank_like(pw, "full", {"weights": mix.reshape(co, ci, 1, 1, 1)})
@@ -487,10 +490,10 @@ _DECONV_KS = ((3, 2), (3, 1), (1, 2), (1, 1))
 
 def _deconv_vs_loop(seed: int) -> OracleReport:
     """deconv3d_full against the loop nest's transposed taps on seeded data."""
-    rng = np.random.default_rng(seed + 0xDEC0)
+    rng = IntStream(seed + 0xDEC0)
     k, stride = _DECONV_KS[seed % len(_DECONV_KS)]
-    ci, co = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-    d, h, w = int(rng.integers(2, 4)), int(rng.integers(3, 5)), int(rng.integers(4, 6))
+    ci, co = rng.integers(1, 4), rng.integers(1, 4)
+    d, h, w = rng.integers(2, 4), rng.integers(3, 5), rng.integers(4, 6)
     x, bank = _layer_case("full", k, ci, co, d, h, w, seed, seed)
     ref, _ = loop_deconv(x, bank, stride)
     got = _k.deconv3d_full(x, bank, stride)
@@ -514,18 +517,18 @@ def _closed_form_matches(name: str, layers) -> OracleReport:
 
 def _conv_layers(seeds: int):
     """Randomized conv3d layers with their loop-nest MAC counts."""
-    rng = np.random.default_rng(0xC057)
+    rng = IntStream(0xC057)
     for _ in range(max(3 * seeds, 12)):
-        variant = str(rng.choice(("full", "fwsc", "dwsc", "fdwsc")))
-        k = int(rng.choice([1, 3, 5]))
-        stride = int(rng.choice([1, 2]))
+        variant = rng.choice(("full", "fwsc", "dwsc", "fdwsc"))
+        k = rng.choice((1, 3, 5))
+        stride = rng.choice((1, 2))
         hi = 4 if k == 5 else 5
-        ci = int(rng.integers(1, 4))
-        co = ci if variant == "dwsc" else int(rng.integers(1, 5))
-        d, h, w = (int(rng.integers(2, hi)) for _ in range(3))
+        ci = rng.integers(1, 4)
+        co = ci if variant == "dwsc" else rng.integers(1, 5)
+        d, h, w = (rng.integers(2, hi) for _ in range(3))
         bias, bn = bool(rng.integers(0, 2)), bool(rng.integers(0, 2))
-        x, bank = _layer_case(variant, k, ci, co, d, h, w, int(rng.integers(0, 2 ** 31)),
-                              int(rng.integers(0, 2 ** 31)), bias, bn)
+        x, bank = _layer_case(variant, k, ci, co, d, h, w, rng.integers(0, 2 ** 31),
+                              rng.integers(0, 2 ** 31), bias, bn)
         spec = LayerSpec(id=f"{variant}-k{k}-s{stride}", kind="conv3d", variant=variant,
                          k=k, stride=stride, out_channels=co, bias=bias, bn=bn)
         _, mac = loop_forward(variant, x, bank, stride)
@@ -534,15 +537,15 @@ def _conv_layers(seeds: int):
 
 def _deconv_layers(seeds: int):
     """Randomized deconv3d layers with their loop-nest MAC counts."""
-    rng = np.random.default_rng(0xDEC5)
+    rng = IntStream(0xDEC5)
     for _ in range(max(seeds, 4)):
-        k = int(rng.choice([1, 3, 5]))
-        stride = int(rng.choice([1, 2, 3]))
-        ci, co = int(rng.integers(1, 3)), int(rng.integers(1, 3))
-        d, h, w = int(rng.integers(1, 4)), int(rng.integers(1, 5)), int(rng.integers(1, 6))
+        k = rng.choice((1, 3, 5))
+        stride = rng.choice((1, 2, 3))
+        ci, co = rng.integers(1, 3), rng.integers(1, 3)
+        d, h, w = rng.integers(1, 4), rng.integers(1, 5), rng.integers(1, 6)
         bias, bn = bool(rng.integers(0, 2)), bool(rng.integers(0, 2))
-        x, bank = _layer_case("full", k, ci, co, d, h, w, int(rng.integers(0, 2 ** 31)),
-                              int(rng.integers(0, 2 ** 31)), bias, bn)
+        x, bank = _layer_case("full", k, ci, co, d, h, w, rng.integers(0, 2 ** 31),
+                              rng.integers(0, 2 ** 31), bias, bn)
         spec = LayerSpec(id=f"deconv-k{k}-s{stride}", kind="deconv3d", variant="full",
                          k=k, stride=stride, out_channels=co, bias=bias, bn=bn)
         _, mac = loop_deconv(x, bank, stride)
@@ -555,14 +558,14 @@ def _grad_draws(grng, variant: str, reps: int) -> list:
     the check runs."""
     draws = []
     for _ in range(reps):
-        k = int(grng.choice([1, 3]))
-        stride = int(grng.choice([1, 2]))
-        ci = int(grng.integers(1, 3))
-        co = ci if variant == "dwsc" else int(grng.integers(1, 3))
-        d, h, w = (int(grng.integers(2, 4)) for _ in range(3))
+        k = grng.choice((1, 3))
+        stride = grng.choice((1, 2))
+        ci = grng.integers(1, 3)
+        co = ci if variant == "dwsc" else grng.integers(1, 3)
+        d, h, w = (grng.integers(2, 4) for _ in range(3))
         layer = (variant, k, ci, co, d, h, w,
-                 int(grng.integers(0, 2 ** 31)), int(grng.integers(0, 2 ** 31)))
-        draws.append((layer, stride, int(grng.integers(0, 2 ** 31))))
+                 grng.integers(0, 2 ** 31), grng.integers(0, 2 ** 31))
+        draws.append((layer, stride, grng.integers(0, 2 ** 31)))
     return draws
 
 
@@ -577,14 +580,14 @@ _GRAD_DECONV = ((1, 1, 2, 3), (1, 2, 3, 2), (3, 1, 1, 1), (3, 2, 1, 1))
 def _grad_deconv_draws(reps: int) -> list:
     """The transposed-conv gradient checks' numbers, as `_grad_draws`
     gives them, on their own stream."""
-    grng = np.random.default_rng(0x6EADDEC)
+    grng = IntStream(0x6EADDEC)
     draws = []
     for i in range(reps):
         k, stride, ci, co = _GRAD_DECONV[i % len(_GRAD_DECONV)]
-        d, h, w = (int(grng.integers(1, 3)) for _ in range(3))
+        d, h, w = (grng.integers(1, 3) for _ in range(3))
         layer = ("full", k, ci, co, d, h, w,
-                 int(grng.integers(0, 2 ** 31)), int(grng.integers(0, 2 ** 31)))
-        draws.append((layer, stride, int(grng.integers(0, 2 ** 31))))
+                 grng.integers(0, 2 ** 31), grng.integers(0, 2 ** 31))
+        draws.append((layer, stride, grng.integers(0, 2 ** 31)))
     return draws
 
 
@@ -611,8 +614,12 @@ def run_catalog(name_filter: Optional[str] = None, seeds: int = 8) -> list:
     randomized layers, and gradient spot checks.  Returns OracleReports.
 
     `name_filter` keeps the cases whose name contains it; only those
-    run.  Every case draws its numbers from its own streams and builds
-    its layers only when it runs, so a filtered run reports exactly the
+    run.  Every case draws its numbers from its own ``IntStream`` (a
+    composition case from seed + 0x5EC0 per seed, deconv-vs-loop from
+    seed + 0xDEC0, the cost oracles from 0xC057 and 0xDEC5, the forward
+    gradient checks from one 0x6EAD stream in variant order, grad/deconv
+    from 0x6EADDEC), all drawn in a fixed order, and builds its layers
+    only when it runs, so a filtered run reports exactly the
     lines of the unfiltered one and builds only the selected layers.
     `seeds` (an integer >= 1) sets how many seeds each composition case
     sweeps and scales the randomized and gradient layer counts.
@@ -632,7 +639,7 @@ def run_catalog(name_filter: Optional[str] = None, seeds: int = 8) -> list:
         ("cost-oracle/deconv-scatter",
          partial(_closed_form_matches, layers=_deconv_layers(seeds))),
     ]
-    grng = np.random.default_rng(0x6EAD)
+    grng = IntStream(0x6EAD)
     for variant in ("full", "fwsc", "dwsc", "fdwsc"):
         cases.append((f"grad/{variant}",
                       partial(_grad_check, draws=_grad_draws(grng, variant, max(seeds // 4, 2)),

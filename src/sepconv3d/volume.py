@@ -11,7 +11,8 @@ operation returns a fresh volume.
 
 The module also provides the SV3D binary container (a small header plus
 the raw little-endian payload) and a deterministic counter-based RNG so
-that seeded volumes are bit-identical across platforms and runs.
+that seeded volumes are bit-identical across platforms and runs;
+``IntStream`` reads the same stream as integer draws.
 ``Shape4`` is defined in the numpy-free ``netcfg`` and re-exported here.
 """
 
@@ -25,6 +26,7 @@ import numpy as np
 from .netcfg import Shape4, is_int, same_pad
 
 __all__ = [
+    "IntStream",
     "Shape4",
     "Volume4",
     "VolumeError",
@@ -65,34 +67,101 @@ def _check_dims(dims: Iterable[int]) -> Shape4:
 #
 # SplitMix64 in counter mode: stream element i is finalize(seed + (i+1)*G)
 # with the usual 64-bit avalanche.  Pure integer arithmetic, so the same
-# seed yields the same bytes on every platform.
+# seed yields the same bytes on every platform.  The array forms run over
+# blocks of _BLOCK words, in place, so a large draw makes no full-size
+# temporaries beyond its output.
 # ----------------------------------------------------------------------
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX_A = np.uint64(0xBF58476D1CE4E5B9)
-_MIX_B = np.uint64(0x94D049BB133111EB)
+_M64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX_A = 0xBF58476D1CE4E5B9
+_MIX_B = 0x94D049BB133111EB
+_BLOCK = 1 << 14
+
+
+def _seed_word(seed) -> int:
+    if not is_int(seed):
+        raise VolumeError(f"seed must be an integer, got {seed!r}")
+    return int(seed) & _M64
+
+
+def _draw_count(count) -> int:
+    if count < 0:
+        raise VolumeError(f"count must be >= 0, got {count}")
+    return int(count)
+
+
+def _word_blocks(seed, count: int):
+    """Yield (start, z) over blocks of at most _BLOCK words: z holds words
+    start .. start + z.size - 1 of the stream for `seed`.  z is one reused
+    buffer, valid until the next block."""
+    seed = _seed_word(seed)
+    steps = np.arange(1, min(count, _BLOCK) + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+    buf, tmp = np.empty_like(steps), np.empty_like(steps)
+    for start in range(0, count, _BLOCK):
+        n = min(_BLOCK, count - start)
+        z, t = buf[:n], tmp[:n]
+        np.add(steps[:n], np.uint64((seed + start * _GOLDEN) & _M64), out=z)
+        for shift, mix in ((30, _MIX_A), (27, _MIX_B)):
+            np.right_shift(z, np.uint64(shift), out=t)
+            np.bitwise_xor(z, t, out=z)
+            np.multiply(z, np.uint64(mix), out=z)
+        np.right_shift(z, np.uint64(31), out=t)
+        np.bitwise_xor(z, t, out=z)
+        yield start, z
 
 
 def splitmix64(seed: int, count: int) -> np.ndarray:
     """Return `count` raw 64-bit words of the SplitMix64 stream for `seed`."""
-    if not is_int(seed):
-        raise VolumeError(f"seed must be an integer, got {seed!r}")
-    if count < 0:
-        raise VolumeError(f"count must be >= 0, got {count}")
-    with np.errstate(over="ignore"):
-        z = np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF) + np.arange(
-            1, count + 1, dtype=np.uint64
-        ) * _GOLDEN
-        z = (z ^ (z >> np.uint64(30))) * _MIX_A
-        z = (z ^ (z >> np.uint64(27))) * _MIX_B
-        z = z ^ (z >> np.uint64(31))
-    return z
+    out = np.empty(_draw_count(count), dtype=np.uint64)
+    for start, z in _word_blocks(seed, out.size):
+        out[start:start + z.size] = z
+    return out
+
+
+def _fill_uniform(seed, out: np.ndarray) -> np.ndarray:
+    """Fill the 1-D float array `out` with uniform_open(seed, out.size),
+    cast to out's dtype; returns out."""
+    vals = np.empty(min(out.size, _BLOCK), dtype=np.float64)
+    for start, z in _word_blocks(seed, out.size):
+        v = vals[:z.size]
+        np.right_shift(z, np.uint64(11), out=z)
+        v[...] = z
+        np.multiply(v, 2.0 ** -53, out=v)
+        np.multiply(v, 2.0, out=v)
+        np.subtract(v, 1.0, out=v)
+        out[start:start + z.size] = v
+    return out
 
 
 def uniform_open(seed: int, count: int) -> np.ndarray:
     """Deterministic float64 samples in [-1, 1), from the top 53 bits."""
-    words = splitmix64(seed, count) >> np.uint64(11)
-    return words.astype(np.float64) * (2.0 ** -53) * 2.0 - 1.0
+    return _fill_uniform(seed, np.empty(_draw_count(count), dtype=np.float64))
+
+
+class IntStream:
+    """Integer draws from the SplitMix64 stream for `seed`, in pure-Python
+    ints: the i-th draw maps the stream's word i, w_i, onto [lo, hi) as
+    lo + ((w_i * (hi - lo)) >> 64)."""
+
+    __slots__ = ("_seed", "_i")
+
+    def __init__(self, seed: int):
+        self._seed, self._i = _seed_word(seed), 0
+
+    def integers(self, lo: int, hi: int) -> int:
+        """The next draw, uniform over [lo, hi) up to 2**-64 per value."""
+        if not (is_int(lo) and is_int(hi)) or hi <= lo:
+            raise VolumeError(f"need integers lo < hi, got {lo!r}, {hi!r}")
+        self._i += 1
+        z = (self._seed + self._i * _GOLDEN) & _M64
+        z = ((z ^ (z >> 30)) * _MIX_A) & _M64
+        z = ((z ^ (z >> 27)) * _MIX_B) & _M64
+        return int(lo) + (((z ^ (z >> 31)) * (int(hi) - int(lo))) >> 64)
+
+    def choice(self, seq):
+        """The element of `seq` at index integers(0, len(seq))."""
+        return seq[self.integers(0, len(seq))]
 
 
 # ----------------------------------------------------------------------
@@ -137,9 +206,8 @@ class Volume4:
     def random(cls, dims, seed: int, dtype=np.float32) -> "Volume4":
         """Seeded volume with values in [-1, 1); bit-identical per seed."""
         shape = _check_dims(dims)
-        flat = uniform_open(seed, shape.numel)
-        arr = flat.astype(_coerce_dtype(dtype)).reshape(shape)
-        return cls(arr, copy=False)
+        flat = np.empty(shape.numel, dtype=_coerce_dtype(dtype))
+        return cls(_fill_uniform(seed, flat).reshape(shape), copy=False)
 
     # -- basic accessors --------------------------------------------------
 

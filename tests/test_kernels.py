@@ -3,6 +3,9 @@ bank validation and serialization."""
 
 import hashlib
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -850,15 +853,17 @@ def test_dense_outputs_are_the_plain_multiply_add_chain(co):
 
 
 # SHA-256 over conv3d_full, deconv3d_full and deconv3d_backward at the
-# workload's channel counts, recorded before the dense engine packed its
-# taps into column chunks.  Every output plane spans at least two row
-# chunks at stride 1 (and conv3d_full at stride 2), and every op at least
-# two slabs.
-_DENSE_CHUNK_SWEEP_SHA256 = "a645bbf04943cced7a3a75385279d8edc29ebe0ca2acc5116ed59d9ada351a43"
+# workload's channel counts, with the BLAS pool pinned to 1 thread as
+# `bench` and perfbench pin it.  The weight gradient's tensordot gives
+# other bits at 2 BLAS threads (a645bbf0... there, as recorded before the
+# dense engine packed its taps into column chunks).  Every output plane
+# spans at least two row chunks at stride 1 (and conv3d_full at stride
+# 2), and every op at least two slabs.
+_DENSE_CHUNK_SWEEP_SHA256 = "966baa276d32fa9bc3ae2b1f35c45526d4b521a99589bb1a9d99a5e80d304924"
 _CHUNK_CHANNELS = ((32, 32), (32, 48), (48, 32), (80, 80), (2, 1))
 
 
-def test_dense_column_chunks_are_pinned():
+def _dense_chunk_sweep_digest():
     h = hashlib.sha256()
 
     def put(tag, arrays):
@@ -876,7 +881,23 @@ def test_dense_column_chunks_are_pinned():
         g = Volume4.random((co, 9 * s, 14 * s, 12 * s), seed=seed + 2, dtype=np.float64)
         put(f"deconv3d_full {tag}", [deconv3d_full(x, bank, s).array])
         put(f"deconv3d_backward {tag}", _flat(deconv3d_backward(x, bank, g, s)))
-    assert h.hexdigest() == _DENSE_CHUNK_SWEEP_SHA256
+    return h.hexdigest()
+
+
+def test_dense_column_chunks_are_pinned():
+    # a fresh interpreter, since BLAS sizes its pool when numpy loads
+    from sepconv3d import cli
+
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, **dict.fromkeys(cli._THREAD_VARS, "1")}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = (f"import sys; sys.path.insert(0, {here!r}); import test_kernels; "
+            "print(test_kernels._dense_chunk_sweep_digest())")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == _DENSE_CHUNK_SWEEP_SHA256
 
 
 def test_dense_chunk_sweep_spans_row_chunks_and_slabs():

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sepconv3d import volume
 from sepconv3d.volume import (
+    IntStream,
     Shape4,
     Volume4,
     VolumeError,
@@ -233,6 +235,58 @@ def test_uniform_open_range(seed, count):
     if count:
         assert vals.min() >= -1.0
         assert vals.max() < 1.0
+
+
+def _full_size_words(seed, count):
+    """Reference: the stream as one full-size vector expression."""
+    with np.errstate(over="ignore"):
+        z = np.uint64(seed & (2**64 - 1)) + np.arange(1, count + 1, dtype=np.uint64) * np.uint64(
+            0x9E3779B97F4A7C15)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
+
+
+_B = volume._BLOCK
+
+
+@pytest.mark.parametrize("count", [0, 1, _B - 1, _B, _B + 1, 3 * _B + 7])
+@pytest.mark.parametrize("seed", [5, 2**64 - 3])
+def test_blocked_rng_matches_the_full_size_formula(seed, count):
+    words = _full_size_words(seed, count)
+    assert splitmix64(seed, count).tobytes() == words.tobytes()
+    vals = (words >> np.uint64(11)).astype(np.float64) * (2.0 ** -53) * 2.0 - 1.0
+    assert uniform_open(seed, count).tobytes() == vals.tobytes()
+    if count:
+        for dtype in (np.float32, np.float64):
+            got = Volume4.random((1, 1, 1, count), seed=seed, dtype=dtype).array
+            assert got.tobytes() == vals.astype(dtype).reshape(1, 1, 1, count).tobytes()
+
+
+@pytest.mark.parametrize("lo", [0, -7, 2**40])
+@pytest.mark.parametrize("span", [1, 2, 3, 5, 1000, 2**31 - 1, 2**31])
+def test_int_stream_draw_i_maps_word_i(lo, span):
+    seed, n = 0x5EC0 + span, 40
+    stream = IntStream(seed)
+    for w in splitmix64(seed, n):
+        got = stream.integers(lo, lo + span)
+        assert got == lo + ((int(w) * span) >> 64)
+        assert type(got) is int and lo <= got < lo + span
+
+
+def test_int_stream_choice_takes_the_drawn_index():
+    seq = ("full", "fwsc", "dwsc", "fdwsc")
+    a, b = IntStream(0xC057), IntStream(0xC057)
+    assert [a.choice(seq) for _ in range(50)] == [seq[b.integers(0, 4)] for _ in range(50)]
+
+
+def test_int_stream_needs_a_nonempty_integer_span():
+    stream = IntStream(1)
+    for lo, hi in ((3, 3), (4, 3), (0, 2.0), (True, 3)):
+        with pytest.raises(VolumeError, match="lo < hi"):
+            stream.integers(lo, hi)
+    with pytest.raises(VolumeError, match="seed"):
+        IntStream(1.5)
 
 
 # ----------------------------------------------------------------------
