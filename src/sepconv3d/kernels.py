@@ -81,6 +81,12 @@ non-unit kernel axes, and reads the output's w sites and their slices
 as one run of C'*n values, against weights tiled along it
 (``_slice_window``); a window along d alone (fdwsc's k*1*1) runs that
 einsum once per h row, so each tap streams one row, not a whole plane.
+Every strided view over a padded buffer is a plain read-only
+``np.ndarray`` over that C-contiguous buffer, never a copy.
+``_window_view`` makes the per-slice engine's and, with its channel
+axis merged into the kc axis, the single-output dense engine's; the
+dense column gather makes its own, because a scatter phase's
+sub-kernel keeps unit tap axes that ``_window_view`` drops.
 1x1x1 mixes are plain matrix products over the flattened sites.  Two
 window stages in a row (fdwsc's) share one padded buffer: the first
 writes its result into the interior of the second's zero-haloed
@@ -112,7 +118,6 @@ import os
 from typing import NamedTuple, Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .netcfg import (
     VARIANTS,
@@ -464,24 +469,27 @@ def _grid(x, ks, pads, strides) -> list:
 def _window_view(xp: np.ndarray, ks, strides, fuse=False):
     """The window step of the per-slice engine.
 
-    xp: a padded (A, B, C, n) buffer; ks: window extents (ka, kb, kc).
-    Returns (view, taps): the strided window view (A', B', C', n,
-    *window) of xp over the axes whose extent is not 1, and the einsum
-    labels of those window axes.  With `fuse` (stride 1 along C) the
-    view is (A', B', 1, C'*n, *window): xp is C-contiguous, so at every
-    tap the C' sites' slices are one contiguous run of C'*n values.
+    xp: a padded C-contiguous (A, B, C, n) buffer; ks: window extents
+    (ka, kb, kc).  Returns (view, taps): the read-only strided window
+    view (A', B', C', n, *window) of xp over the axes whose extent is
+    not 1, and the einsum labels of those window axes.  With `fuse`
+    (stride 1 along C) the view is (A', B', 1, C'*n, *window): xp is
+    C-contiguous, so at every tap the C' sites' slices are one
+    contiguous run of C'*n values.
     """
     axes = [ax for ax in range(3) if ks[ax] > 1]
-    grid = [(m - k) // s + 1 for m, k, s in zip(xp.shape, ks, strides)]
+    grid = _grid(xp, ks, [(0, 0)] * 3, strides)
     n = xp.shape[3]
-    win = as_strided(
+    win = np.ndarray(
+        grid[:2] + ([1, grid[2] * n] if fuse else [grid[2], n]) + [ks[ax] for ax in axes],
+        xp.dtype,
         xp,
-        shape=grid[:2] + ([1, grid[2] * n] if fuse else [grid[2], n]) + [ks[ax] for ax in axes],
-        strides=[st * s for st, s in zip(xp.strides, strides)]
+        0,
+        [st * s for st, s in zip(xp.strides, strides)]
         + [xp.itemsize]
         + [xp.strides[ax] for ax in axes],
-        writeable=False,
     )
+    win.flags.writeable = False
     return win, "".join("abc"[ax] for ax in axes)
 
 
@@ -501,12 +509,12 @@ def _dense_window(x, wt: np.ndarray, pads, strides, out=None) -> np.ndarray:
     long contiguous run.  Every output still adds its products one at a
     time from 0.0 in (a, b, c, ci) order, the columns' reduction strides
     decreasing in that order, so the bits do not depend on the chunk
-    or the slab.  A single output channel keeps the einsum over the
-    strided window view whose innermost window axis is fused with the
-    channel axis (K = tap*ci + channel): there einsum drops the unit
-    axis and totals K with its dot kernel, which rounds differently from
-    the chain the columns would make.  Returns the (A', B', C', co)
-    result, written into `out` when given.
+    or the slab.  A single output channel keeps the einsum over
+    `_window_view`'s view with its channel axis moved last and merged
+    with the kc axis (K = tap*ci + channel), still a view: there einsum
+    drops the unit axis and totals K with its dot kernel, which rounds
+    differently from the chain the columns would make.  Returns the
+    (A', B', C', co) result, written into `out` when given.
     """
     ci, ks, co = wt.shape[0], wt.shape[1:4], wt.shape[4]
     wt = np.ascontiguousarray(wt.transpose(1, 2, 3, 0, 4))
@@ -516,12 +524,8 @@ def _dense_window(x, wt: np.ndarray, pads, strides, out=None) -> np.ndarray:
         wt = wt.reshape(ks[0], ks[1], ks[2] * ci, 1)
 
         def engine(xp, out):
-            win = as_strided(
-                xp,
-                shape=_grid(xp, ks, [(0, 0)] * 3, strides) + list(wt.shape[:3]),
-                strides=[st * s for st, s in zip(xp.strides, strides)] + [*xp.strides[:2], xp.itemsize],
-                writeable=False,
-            )
+            win = _window_view(xp, ks, strides)[0]
+            win = np.moveaxis(win, 3, -1).reshape(win.shape[:3] + wt.shape[:3])
             np.einsum("zyxabK,abKo->zyxo", win, wt, out=out, optimize=False)
 
         return _by_slab(engine, x, ks, pads, strides, out)
@@ -537,8 +541,10 @@ def _dense_window(x, wt: np.ndarray, pads, strides, out=None) -> np.ndarray:
         for z, y in itertools.product(range(out.shape[0]), range(0, B, rows)):
             r = min(rows, B - y)
             col = cols[: row * r].reshape(*taps, r, C)
-            # a plain strided view: as_strided's per-call dict and wrapper,
-            # made once per chunk, moved the full forward's peak RSS by 9%
+            # its own plain strided view, not `_window_view`'s, which drops
+            # the unit tap axes a scatter phase's sub-kernel has; numpy's
+            # stride-tricks helper, called once per chunk, moved the full
+            # forward's peak RSS by 9%
             col[...] = np.ndarray(col.shape, xp.dtype, xp, z * sa * st[0] + y * sb * st[1], st)
             chunk = res[: co * r * C].reshape(co, r * C)
             np.einsum("abcin,abcio->on", col.reshape(*taps, r * C), wt, out=chunk, optimize=False)
@@ -614,8 +620,7 @@ def _depthwise_core(x, w: np.ndarray, strides, halo=None):
     pads = [same_pad(k) for k in w.shape[1:]]
     if halo is None:
         return _slice_window(x, w, pads, strides)
-    shape = [out_extent(m, s) for m, s in zip(x.shape, strides)] + [x.shape[3]]
-    buf, inner = _halo_buffer(shape, halo)
+    buf, inner = _halo_buffer(_grid(x, w.shape[1:], pads, strides) + [x.shape[3]], halo)
     _slice_window(x, w, pads, strides, out=inner)
     return _Haloed(buf, halo)
 

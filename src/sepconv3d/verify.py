@@ -336,7 +336,8 @@ def finite_diff_grad(
     xa = x.to_numpy()
 
     def loss() -> float:
-        y = op(Volume4(xa, copy=False), b, stride).array
+        # a fresh view each call: the Volume4 freezes the view, not xa
+        y = op(Volume4(xa.view(), copy=False), b, stride).array
         if g is None:
             return float(np.sum(y, dtype=np.float64))
         if g.shape != y.shape:
@@ -501,6 +502,27 @@ def _deconv_vs_loop(seed: int) -> OracleReport:
                    note=f"k={k} s={stride} ci={ci} co={co}")
 
 
+# the slab checks, (name, `_layer_case` arguments up to the seeds,
+# stride): each layer's output spans more than one slab of
+# `kernels._SLAB` planes along its leading stage axis (d, or c for
+# dwsc), so every window engine runs its slab loop -- the dense,
+# per-slice and scatter-phase ones
+_SLAB_CASES = tuple(
+    (f"{v}-s{s}", (v, 3, 2, 3, 20, 5, 6), s) for v in ("fwsc", "full", "fdwsc") for s in (1, 2)
+) + (("dwsc-s1", ("dwsc", 3, 18, 18, 3, 5, 6), 1), ("deconv-s2", ("full", 3, 2, 2, 10, 3, 4), 2))
+
+
+def _slab_vs_loop(name: str, layer: tuple, stride: int) -> OracleReport:
+    """One slab case's production output against its loop oracle."""
+    x, bank = _layer_case(*layer, bank_seed=0x51AB, x_seed=0x51AB)
+    if name.startswith("slab/deconv"):
+        got, (ref, _) = _k.deconv3d_full(x, bank, stride), loop_deconv(x, bank, stride)
+    else:
+        got, (ref, _) = _k.forward(x, bank, stride), loop_forward(bank.variant, x, bank, stride)
+    return _report(name, got.array, ref, tol=1e-9,
+                   note=f"s={stride} in={tuple(x.dims)} co={bank.c_out}")
+
+
 def _closed_form_matches(name: str, layers) -> OracleReport:
     """Closed-form costs against loop counts; `layers` yields
     (spec, in_shape, loop_macs).  Stops at the first mismatch."""
@@ -611,14 +633,17 @@ def _grad_check(name: str, draws: list, op, bwd) -> OracleReport:
 
 def run_catalog(name_filter: Optional[str] = None, seeds: int = 8) -> list:
     """The `check` suite: composition cases, cost-oracle equality on
-    randomized layers, and gradient spot checks.  Returns OracleReports.
+    randomized layers, gradient spot checks, and the slab cases
+    (`_SLAB_CASES`, one fixed layer each, whatever `seeds`).  Returns
+    OracleReports.
 
     `name_filter` keeps the cases whose name contains it; only those
     run.  Every case draws its numbers from its own ``IntStream`` (a
     composition case from seed + 0x5EC0 per seed, deconv-vs-loop from
     seed + 0xDEC0, the cost oracles from 0xC057 and 0xDEC5, the forward
     gradient checks from one 0x6EAD stream in variant order, grad/deconv
-    from 0x6EADDEC), all drawn in a fixed order, and builds its layers
+    from 0x6EADDEC; a slab case draws none, its layer is seeded 0x51AB),
+    all drawn in a fixed order, and builds its layers
     only when it runs, so a filtered run reports exactly the
     lines of the unfiltered one and builds only the selected layers.
     `seeds` (an integer >= 1) sets how many seeds each composition case
@@ -647,4 +672,6 @@ def run_catalog(name_filter: Optional[str] = None, seeds: int = 8) -> list:
     cases.append(("grad/deconv",
                   partial(_grad_check, draws=_grad_deconv_draws(max(seeds // 2, 4)),
                           op=_k.deconv3d_full, bwd=_k.deconv3d_backward)))
+    cases += [(f"slab/{name}", partial(_slab_vs_loop, layer=layer, stride=s))
+              for name, layer, s in _SLAB_CASES]
     return [run(name) for name, run in cases if not name_filter or name_filter in name]

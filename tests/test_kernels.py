@@ -1449,6 +1449,49 @@ def test_a_window_pads_once_per_slab_and_only_at_the_volume_edge(monkeypatch):
     assert calls == [(9, (1, 0)), (10, (0, 0)), (5, (0, 1))]
 
 
+@pytest.mark.parametrize("fuse", [False, True])
+def test_window_view_is_a_read_only_view_of_the_buffer(fuse):
+    from sepconv3d import kernels
+
+    xp = np.zeros((5, 6, 7, 2))
+    win, taps = kernels._window_view(xp, (3, 1, 3), (1, 2, 1), fuse)
+    assert taps == "ac" and win.shape == ((3, 3, 1, 10, 3, 3) if fuse else (3, 3, 5, 2, 3, 3))
+    assert np.shares_memory(win, xp)
+    with pytest.raises(ValueError, match="read-only"):
+        win[(0,) * win.ndim] = 1.0
+
+
+def test_single_output_dense_window_reads_each_slab_buffer_in_place(monkeypatch):
+    # with c_out = 1 the einsum's window operand is a read-only view of
+    # the slab's padded buffer, also for a scatter phase's sub-kernel,
+    # whose unit tap axes the window view drops; a reshape that copied
+    # would share no memory with it
+    from sepconv3d import kernels
+
+    padded, einsum = kernels._padded, np.einsum
+    bufs, wins = [], []
+
+    def pad_spy(x, pads):
+        bufs.append(padded(x, pads))
+        return bufs[-1]
+
+    def einsum_spy(spec, a, *args, **kwargs):
+        wins.append(a)
+        return einsum(spec, a, *args, **kwargs)
+
+    monkeypatch.setattr(kernels, "_padded", pad_spy)
+    monkeypatch.setattr(np, "einsum", einsum_spy)
+    bank = KernelBank.random("full", 3, 3, 1, seed=2)
+    x = Volume4.random((3, 20, 6, 7), seed=2)
+    for s in (1, 2):
+        conv3d_full(x, bank, s)
+    deconv3d_full(Volume4.random((3, 10, 2, 3), seed=3), bank, 2)
+    # 3 slabs at stride 1, 2 at stride 2, then 2 per phase of 8 phases
+    assert len(wins) == len(bufs) == 3 + 2 + 16
+    for buf, win in zip(bufs, wins):
+        assert not win.flags.writeable and np.shares_memory(win, buf)
+
+
 def test_f64_fwsc_forward_peak_holds_one_slab_of_padded_input(monkeypatch):
     # 40 planes are 5 slabs.  The peak is the window output with one
     # slab's padded buffer, or later the window output with the layer

@@ -34,6 +34,8 @@ def _bank(variant, k, ci, co, *, d_in=None, seed=7, bias=False, bn=False):
 
 
 GRAD_CASES = [f"grad/{v}" for v in ("full", "fwsc", "dwsc", "fdwsc", "deconv")]
+SLAB_CASES = ([f"slab/{v}-s{s}" for v in ("fwsc", "full", "fdwsc") for s in (1, 2)]
+              + ["slab/dwsc-s1", "slab/deconv-s2"])
 
 
 # ----------------------------------------------------------------------
@@ -222,6 +224,20 @@ def test_finite_diff_differentiates_the_given_op():
         assert max_rel_err(fd[name], an, floor=1e-6) <= 1e-4, name
 
 
+def test_finite_diff_keeps_its_perturbed_input_writable():
+    # each forward wraps a fresh view of the perturbed copy, so the
+    # Volume4 freezes that view and the copy stays writable
+    x = Volume4.random((1, 2, 2, 2), seed=3, dtype=np.float64)
+    seen = []
+
+    def op(v, bank, stride):
+        seen.append(v.array.base.flags.writeable)
+        return kernels.forward(v, bank, stride)
+
+    finite_diff_grad(x, _bank("full", 1, 1, 1), op=op)
+    assert len(seen) == 2 * (x.array.size + 1) and all(seen)
+
+
 def test_finite_diff_validation():
     x32 = Volume4.random((1, 2, 2, 2), seed=0)
     bank = _bank("full", 1, 1, 1)
@@ -275,6 +291,7 @@ def test_run_catalog_covers_every_family(catalog):
         + ["composition/deconv-vs-loop"]
         + ["cost-oracle/closed-form-vs-loop", "cost-oracle/deconv-scatter"]
         + GRAD_CASES
+        + SLAB_CASES
     )
     failures = [str(r) for r in catalog if not r.passed]
     assert not failures, failures
@@ -491,14 +508,14 @@ def test_cost_oracle_runs_no_production_forward(monkeypatch):
     assert r.passed, str(r)
 
 
-def _exec_mutant(monkeypatch, name, old, new):
-    """Replace verify.<name> with its source edited from `old` to `new`."""
-    src = textwrap.dedent(inspect.getsource(getattr(verify, name)))
+def _exec_mutant(monkeypatch, name, old, new, module=verify):
+    """Replace module.<name> with its source edited from `old` to `new`."""
+    src = textwrap.dedent(inspect.getsource(getattr(module, name)))
     mutant = src.replace(old, new)
     assert mutant != src
-    scope = dict(vars(verify))
+    scope = dict(vars(module))
     exec(mutant, scope)
-    monkeypatch.setattr(verify, name, scope[name])
+    monkeypatch.setattr(module, name, scope[name])
 
 
 def test_window_nest_mutant_fails_every_variant(monkeypatch):
@@ -528,6 +545,16 @@ def test_bank_like_mutant_fails_the_identities_against_a_seeded_bank(monkeypatch
         assert not r.passed, str(r)
 
 
+def test_slab_mutant_that_drops_an_input_plane_fails_check(monkeypatch):
+    # every slab after the first reads its input one plane late, zero-padded
+    # at the far end instead; only a stage output of more than one slab
+    # shows it, so the slab cases, and only they, must fail
+    _exec_mutant(monkeypatch, "_by_slab", "x[max(top, 0) : min(end, m)], pad)",
+                 "x[max(top, 0) + (a > 0) : min(end, m)],"
+                 " [(pad[0][0], pad[0][1] + (a > 0)), *pad[1:]])", module=kernels)
+    assert [r.case for r in run_catalog() if not r.passed] == SLAB_CASES
+
+
 @pytest.mark.parametrize("seed", [2.5, True, "1"])
 def test_composition_check_rejects_non_integer_seeds(seed):
     with pytest.raises(KernelError, match="seed"):
@@ -552,7 +579,7 @@ def test_catalog_builds_only_the_selected_cases_layers(monkeypatch):
 
     monkeypatch.setattr(KernelBank, "random", classmethod(spy))
     for name_filter, seeds, n_banks in (("k1-collapse", 2, 2), ("grad/fdwsc", 8, 2),
-                                        ("grad/deconv", 8, 4), (None, 8, 92)):
+                                        ("grad/deconv", 8, 4), ("slab/", 8, 8), (None, 8, 100)):
         built.clear()
         run_catalog(name_filter, seeds=seeds)
         assert len(built) == n_banks, name_filter
